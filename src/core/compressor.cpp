@@ -77,12 +77,10 @@ CompressedStep VariableCompressor::push(std::span<const double> snapshot) {
 
 void VariableReconstructor::push(const CompressedStep& step) {
   const codec::Codec& c = codec::require(step.codec_id);
-  if (step.is_full) {
-    NUMARCK_EXPECT(!c.caps().temporal,
-                   "reconstructor: full record with a temporal codec");
-  } else if (c.caps().temporal) {
-    NUMARCK_EXPECT(iter_ > 0, "reconstructor: delta before the full record");
-  }
+  NUMARCK_EXPECT(!step.is_full || !c.caps().temporal,
+                 "reconstructor: full record with a temporal codec");
+  NUMARCK_EXPECT(iter_ > 0 || starts_chain(step.is_full, step.codec_id),
+                 "reconstructor: delta before the full record");
   std::vector<double> next =
       c.decode(step.payload, state_, state2_, step.point_count);
   if (step.is_full) {
@@ -96,29 +94,33 @@ void VariableReconstructor::push(const CompressedStep& step) {
   ++iter_;
 }
 
-void VariableReconstructor::push_full(std::span<const std::uint8_t> fpc_stream) {
-  state_ = lossless::fpc_decompress(fpc_stream);
-  state2_.clear();
-  ++iter_;
+bool starts_chain(bool is_full, std::uint8_t codec_id) noexcept {
+  if (is_full) return true;
+  const codec::Codec* c = codec::find(codec_id);
+  return c != nullptr && !c->caps().temporal;
 }
 
-void VariableReconstructor::push_delta(const EncodedIteration& delta) {
-  NUMARCK_EXPECT(iter_ > 0, "reconstructor: delta before the full record");
-  std::vector<double> base;
-  if (delta.predictor == Predictor::kLinear) {
-    NUMARCK_EXPECT(!state2_.empty(),
-                   "reconstructor: linear-coded delta without two states");
-    base.resize(state_.size());
-    for (std::size_t j = 0; j < base.size(); ++j) {
-      base[j] = 2.0 * state_[j] - state2_[j];
-    }
-  } else {
-    base = state_;
+void ChainReplay::replay_to(std::size_t start, std::size_t target,
+                            const RecordLoader& load) {
+  NUMARCK_EXPECT(start <= target, "chain replay: start after the target");
+  if (start_ != start || target + 1 < next_) {
+    for (auto& r : recon_) r = VariableReconstructor{};
+    start_ = start;
+    next_ = start;
   }
-  std::vector<double> next = decode_iteration(base, delta);
-  state2_ = std::move(state_);
-  state_ = std::move(next);
-  ++iter_;
+  std::vector<CompressedStep> steps;
+  try {
+    for (; next_ <= target; ++next_) {
+      steps.clear();
+      load(next_, steps);
+      NUMARCK_EXPECT(steps.size() == recon_.size(),
+                     "chain replay: loader returned the wrong record count");
+      for (std::size_t v = 0; v < steps.size(); ++v) recon_[v].push(steps[v]);
+    }
+  } catch (...) {
+    start_.reset();
+    throw;
+  }
 }
 
 }  // namespace numarck::core

@@ -117,6 +117,15 @@ std::vector<std::uint8_t> EncodedIteration::serialize(
   return w.take();
 }
 
+std::optional<EncodedIteration::Prefix> EncodedIteration::peek(
+    std::span<const std::uint8_t> bytes) noexcept {
+  // magic u32 | index_bits u8 | strategy u8 | predictor u8 | flags u8
+  if (bytes.size() < 8 || util::ByteReader(bytes).get_u32() != kMagic) {
+    return std::nullopt;
+  }
+  return Prefix{static_cast<Predictor>(bytes[6]), bytes[7]};
+}
+
 EncodedIteration EncodedIteration::deserialize(
     std::span<const std::uint8_t> bytes, std::size_t max_point_count) {
   util::ByteReader r(bytes);

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -93,10 +94,6 @@ class VariableReconstructor {
   /// may also start a stream on their own.
   void push(const CompressedStep& step);
 
-  /// Convenience overloads for NUMARCK-era records.
-  void push_full(std::span<const std::uint8_t> fpc_stream);
-  void push_delta(const EncodedIteration& delta);
-
   /// Current reconstructed snapshot D'_i.
   [[nodiscard]] const std::vector<double>& state() const noexcept { return state_; }
 
@@ -106,6 +103,40 @@ class VariableReconstructor {
   std::vector<double> state_;
   std::vector<double> state2_;  ///< previous state, for linear-coded deltas
   std::size_t iter_ = 0;
+};
+
+/// True when a record decodes without a predecessor, so a replay chain may
+/// start at it: a full record, or a record whose codec is not temporal
+/// (spatial codecs stand alone). Unknown codec ids never start a chain.
+[[nodiscard]] bool starts_chain(bool is_full, std::uint8_t codec_id) noexcept;
+
+/// Forward replay of one delta chain — the single restore routine: one
+/// VariableReconstructor per replayed variable, the chain start and the
+/// position reached. Positions are the caller's (container iterations, store
+/// entry indices). replay_to() a target on the same chain at or after the
+/// position reached continues from there; any other target restarts at its
+/// chain start. A throw resets the replay.
+class ChainReplay {
+ public:
+  /// Appends the records at one position to `out`, one per variable, in
+  /// order.
+  using RecordLoader = std::function<void(std::size_t position,
+                                          std::vector<CompressedStep>& out)>;
+
+  explicit ChainReplay(std::size_t variables) : recon_(variables) {}
+
+  /// Brings every variable to `target` on the chain starting at `start`.
+  void replay_to(std::size_t start, std::size_t target,
+                 const RecordLoader& load);
+
+  [[nodiscard]] const std::vector<double>& state(std::size_t v) const {
+    return recon_.at(v).state();
+  }
+
+ private:
+  std::vector<VariableReconstructor> recon_;
+  std::optional<std::size_t> start_;  ///< empty until the first replay
+  std::size_t next_ = 0;              ///< next position to push
 };
 
 }  // namespace numarck::core

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -94,6 +95,17 @@ class EncodedIteration {
   static EncodedIteration deserialize(
       std::span<const std::uint8_t> bytes,
       std::size_t max_point_count = kDefaultMaxPointCount);
+
+  /// Fields of the fixed 8-byte record head (docs/FORMAT.md §2), unvalidated.
+  struct Prefix {
+    Predictor predictor = Predictor::kPrevious;
+    std::uint8_t stream_flags = 0;  ///< post-pass flag bits
+  };
+
+  /// Bounded peek at a serialized record's head without parsing any stream;
+  /// nullopt when the 8 bytes are missing or lack the NMK1 magic.
+  static std::optional<Prefix> peek(
+      std::span<const std::uint8_t> bytes) noexcept;
 
   /// Number of compressible points (= indices stored in the index stream).
   [[nodiscard]] std::size_t compressible_count() const noexcept {

@@ -306,29 +306,24 @@ std::vector<double> RestartEngine::reconstruct_variable(
     const std::string& variable, std::size_t iteration) const {
   NUMARCK_EXPECT(iteration < reader_.iteration_count(),
                  "restart iteration beyond checkpoint history");
-  // Replay from the LATEST reference-free record at or before the target: a
-  // full record, or any record whose codec is non-temporal (spatial records
-  // stand alone). Correct for rebased chains (the adaptive controller emits
+  // Replay from the LATEST record at or before the target that may start a
+  // chain: correct for rebased chains (the adaptive controller emits
   // periodic fulls) and avoids decoding history the rebase supersedes.
-  std::size_t start = 0;
-  bool found_start = false;
-  for (std::size_t it = iteration + 1; it-- > 0;) {
+  std::optional<std::size_t> start;
+  for (std::size_t it = iteration + 1; !start && it-- > 0;) {
     const auto info = reader_.info(variable, it);
-    if (!info) continue;
-    const codec::Codec* c = codec::find(info->codec_id);
-    if (info->type == RecordType::kFull || (c && !c->caps().temporal)) {
+    if (info && core::starts_chain(info->type == RecordType::kFull,
+                                   info->codec_id)) {
       start = it;
-      found_start = true;
-      break;
     }
   }
-  NUMARCK_EXPECT(found_start,
+  NUMARCK_EXPECT(start.has_value(),
                  "no full checkpoint at or before the requested iteration");
-  core::VariableReconstructor rec;
-  for (std::size_t it = start; it <= iteration; ++it) {
-    rec.push(reader_.load(variable, it));
-  }
-  return rec.state();
+  core::ChainReplay replay(1);
+  replay.replay_to(*start, iteration, [&](std::size_t it, auto& out) {
+    out.push_back(reader_.load(variable, it));
+  });
+  return replay.state(0);
 }
 
 std::map<std::string, std::vector<double>> RestartEngine::reconstruct(

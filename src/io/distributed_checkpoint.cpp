@@ -5,15 +5,12 @@
 #include "numarck/io/byte_source.hpp"
 #include "numarck/io/durable_file.hpp"
 #include "numarck/util/byte_stream.hpp"
-#include "numarck/util/crc32.hpp"
 #include "numarck/util/expect.hpp"
 
 namespace numarck::io {
 
 namespace {
 constexpr std::uint64_t kManifestMagic = 0x4E4D4B4D414E4946ull;  // "NMKMANIF"
-// Bytes before the CRC-covered body: magic (8) + crc32 (4).
-constexpr std::size_t kManifestBodyOffset = 12;
 }  // namespace
 
 std::size_t Manifest::total_points() const noexcept {
@@ -40,40 +37,22 @@ void Manifest::save(const std::string& path) const {
   body.put_varint(variables.size());
   for (const auto& v : variables) body.put_string(v);
   for (auto s : partition_sizes) body.put_varint(s);
-
-  util::ByteWriter w;
-  w.put_u64(kManifestMagic);
-  w.put_u32(util::crc32(body.bytes().data(), body.size()));
-  w.put_bytes(body.bytes().data(), body.size());
-
   // Write-to-temp + fsync + rename: a crash at any point leaves either the
   // previous manifest or the complete new one — never a torn hybrid.
-  const std::string tmp = path + ".tmp";
-  FileSink sink(tmp);
-  sink.write(w.bytes().data(), w.size());
-  sink.sync();
-  sink.close();
-  atomic_replace(tmp, path);
+  publish_envelope(path, kManifestMagic, body.bytes());
 }
 
 Manifest Manifest::parse(std::span<const std::uint8_t> data) {
-  util::ByteReader r(data);
-  NUMARCK_EXPECT(r.get_u64() == kManifestMagic, "not a NUMARCK manifest");
-  const std::uint32_t crc_stored = r.get_u32();
-  NUMARCK_EXPECT(data.size() > kManifestBodyOffset, "manifest has no body");
-  const std::uint32_t crc_actual =
-      util::crc32(data.data() + kManifestBodyOffset,
-                  data.size() - kManifestBodyOffset);
-  NUMARCK_EXPECT(crc_actual == crc_stored,
-                 "manifest CRC mismatch (torn write or forged manifest)");
+  const auto body = open_envelope(kManifestMagic, data, "manifest");
+  util::ByteReader r(body);
   Manifest m;
   m.ranks = r.get_varint();
-  // Every rank owns at least one trailing varint byte, so the file size
+  // Every rank owns at least one trailing varint byte, so the body size
   // bounds any honest rank count; forged counts die before the loops below.
-  NUMARCK_EXPECT(m.ranks >= 1 && m.ranks <= data.size(),
+  NUMARCK_EXPECT(m.ranks >= 1 && m.ranks <= body.size(),
                  "manifest rank count out of range");
   const std::size_t nvars = r.get_varint();
-  NUMARCK_EXPECT(nvars >= 1 && nvars <= data.size(),
+  NUMARCK_EXPECT(nvars >= 1 && nvars <= body.size(),
                  "manifest variable count out of range");
   for (std::size_t v = 0; v < nvars; ++v) m.variables.push_back(r.get_string());
   std::size_t total = 0;
@@ -91,8 +70,7 @@ Manifest Manifest::parse(std::span<const std::uint8_t> data) {
 
 Manifest Manifest::load(const std::string& path) {
   FileSource source(path);
-  const std::vector<std::uint8_t> buf = read_all(source);
-  return parse(buf);
+  return parse(read_all(source));
 }
 
 RankCheckpointWriter::RankCheckpointWriter(const std::string& base,

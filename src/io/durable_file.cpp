@@ -5,10 +5,13 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "numarck/util/byte_stream.hpp"
+#include "numarck/util/crc32.hpp"
 #include "numarck/util/expect.hpp"
 
 namespace numarck::io {
@@ -143,16 +146,24 @@ void ErringFile::close() {
   inner_->close();
 }
 
-// --------------------------------------------------------- atomic_replace --
+// ---------------------------------------------------------------- publish --
 
-void atomic_replace(const std::string& tmp_path,
-                    const std::string& final_path) {
-  NUMARCK_EXPECT(std::rename(tmp_path.c_str(), final_path.c_str()) == 0,
-                 errno_detail("atomic rename failed", final_path));
+void publish_via_tmp(
+    const std::string& path, const SinkFactory& make_sink,
+    const std::function<void(std::unique_ptr<ByteSink>)>& write) {
+  const std::string tmp = path + ".tmp";
+  try {
+    write(make_sink ? make_sink(tmp) : std::make_unique<FileSink>(tmp));
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
+  NUMARCK_EXPECT(std::rename(tmp.c_str(), path.c_str()) == 0,
+                 errno_detail("atomic rename failed", path));
   // fsync the parent directory so the rename itself survives power loss.
-  const auto slash = final_path.find_last_of('/');
+  const auto slash = path.find_last_of('/');
   const std::string dir =
-      slash == std::string::npos ? "." : final_path.substr(0, slash + 1);
+      slash == std::string::npos ? "." : path.substr(0, slash + 1);
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dfd >= 0) {
     // Some filesystems refuse directory fsync (EINVAL); the rename is still
@@ -163,6 +174,37 @@ void atomic_replace(const std::string& tmp_path,
     NUMARCK_EXPECT(rc == 0 || saved == EINVAL,
                    errno_detail("directory fsync failed", dir));
   }
+}
+
+// --------------------------------------------------------------- envelope --
+
+void publish_envelope(const std::string& path, std::uint64_t magic,
+                      std::span<const std::uint8_t> body,
+                      const SinkFactory& make_sink) {
+  const std::uint32_t crc = util::crc32(body.data(), body.size());
+  constexpr std::size_t kHead = sizeof magic + sizeof crc;
+  std::vector<std::uint8_t> image(kHead + body.size());
+  std::memcpy(image.data(), &magic, sizeof magic);
+  std::memcpy(image.data() + sizeof magic, &crc, sizeof crc);
+  std::copy(body.begin(), body.end(), image.begin() + kHead);
+  publish_via_tmp(path, make_sink, [&](std::unique_ptr<ByteSink> sink) {
+    sink->write(image.data(), image.size());
+    sink->sync();
+    sink->close();
+  });
+}
+
+std::span<const std::uint8_t> open_envelope(std::uint64_t magic,
+                                            std::span<const std::uint8_t> image,
+                                            const std::string& what) {
+  util::ByteReader r(image);
+  NUMARCK_EXPECT(r.get_u64() == magic, "not a NUMARCK " + what);
+  const std::uint32_t crc_stored = r.get_u32();
+  NUMARCK_EXPECT(r.remaining() > 0, what + " has no body");
+  const auto body = image.subspan(image.size() - r.remaining());
+  NUMARCK_EXPECT(util::crc32(body.data(), body.size()) == crc_stored,
+                 what + " CRC mismatch (torn write or forged manifest)");
+  return body;
 }
 
 // --------------------------------------------------------- stale tmp sweep --

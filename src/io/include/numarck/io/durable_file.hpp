@@ -9,7 +9,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -148,10 +150,32 @@ class ErringFile final : public ByteSink {
   int err_;
 };
 
-/// Atomically publishes `tmp_path` as `final_path` (rename + parent
-/// directory fsync): readers see either the old file or the complete new
-/// one, never a half-written manifest.
-void atomic_replace(const std::string& tmp_path, const std::string& final_path);
+/// Makes the sink a publish writes through (fault harnesses wrap FileSink
+/// here); empty = plain FileSink.
+using SinkFactory =
+    std::function<std::unique_ptr<ByteSink>(const std::string& path)>;
+
+/// The one atomic publish: `write` fills `path`.tmp through a sink from
+/// `make_sink`, syncing as its durability requires and closing it; the tmp
+/// is then renamed over `path` and the parent directory fsynced, so readers
+/// see the old file or the complete new one. If `write` throws, the tmp is
+/// removed before the error propagates.
+void publish_via_tmp(const std::string& path, const SinkFactory& make_sink,
+                     const std::function<void(std::unique_ptr<ByteSink>)>& write);
+
+/// Publishes `body` in the CRC'd manifest envelope shared by docs/FORMAT.md
+/// §5 and §8 — magic u64 | CRC-32 of the body u32 | body — through
+/// publish_via_tmp: write, fsync, close, rename.
+void publish_envelope(const std::string& path, std::uint64_t magic,
+                      std::span<const std::uint8_t> body,
+                      const SinkFactory& make_sink = {});
+
+/// Checks an envelope's magic and body CRC and returns the body; throws
+/// ContractViolation naming `what` (e.g. "store manifest") on any mismatch
+/// or an empty body.
+std::span<const std::uint8_t> open_envelope(std::uint64_t magic,
+                                            std::span<const std::uint8_t> image,
+                                            const std::string& what);
 
 /// Deletes `path` if it exists, logging the removal to stderr. The cleanup
 /// half of the tmp+fsync+rename publish discipline: a process killed between

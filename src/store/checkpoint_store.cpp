@@ -9,7 +9,6 @@
 #include "numarck/io/byte_source.hpp"
 #include "numarck/io/checkpoint_file.hpp"
 #include "numarck/util/byte_stream.hpp"
-#include "numarck/util/crc32.hpp"
 #include "numarck/util/expect.hpp"
 
 namespace numarck::store {
@@ -20,8 +19,6 @@ namespace {
 
 constexpr std::uint64_t kStoreMagic = 0x4E4D4B53544F5231ull;  // "NMKSTOR1"
 constexpr std::uint64_t kStoreVersion = 1;
-// Bytes before the CRC-covered body: magic (8) + crc32 (4).
-constexpr std::size_t kBodyOffset = 12;
 
 std::string container_name(std::size_t iteration) {
   char buf[32];
@@ -35,20 +32,21 @@ std::string standalone_name(std::size_t iteration) {
   return buf;
 }
 
-bool is_container_name(const std::string& name) {
-  return name.size() > 4 && name.compare(name.size() - 4, 4, ".nck") == 0;
+/// Unlinks a file the published manifest no longer names; a failure only
+/// leaves an orphan, which the next open quarantines.
+void unlink_unreferenced(const std::string& path, const char* who) {
+  if (std::remove(path.c_str()) != 0) {
+    std::fprintf(stderr, "numarck: %s could not unlink %s (left as orphan)\n",
+                 who, path.c_str());
+  }
 }
 
-bool is_tmp_name(const std::string& name) {
-  return name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0;
-}
-
-/// A step that decodes without a predecessor: a full record, or any record
-/// whose codec is spatial (non-temporal).
-bool step_is_reference_free(const core::CompressedStep& step) {
-  if (step.is_full) return true;
-  const codec::Codec* c = codec::find(step.codec_id);
-  return c != nullptr && !c->caps().temporal;
+/// A NUMARCK delta coded against the linear extrapolation 2 D_{i-1} - D_{i-2}
+/// (FORMAT.md §2 predictor byte, read without parsing the record).
+bool is_linear_delta(const core::CompressedStep& step) {
+  if (step.is_full || step.codec_id != codec::kNumarckId) return false;
+  const auto prefix = core::EncodedIteration::peek(step.payload);
+  return prefix && prefix->predictor == core::Predictor::kLinear;
 }
 
 struct ParsedManifest {
@@ -60,27 +58,21 @@ struct ParsedManifest {
 /// damage (bad magic, CRC mismatch, forged counts, unsorted iterations,
 /// a file name that escapes the store directory, trailing bytes).
 ParsedManifest parse_store_manifest(std::span<const std::uint8_t> data) {
-  util::ByteReader r(data);
-  NUMARCK_EXPECT(r.get_u64() == kStoreMagic, "not a NUMARCK store manifest");
-  const std::uint32_t crc_stored = r.get_u32();
-  NUMARCK_EXPECT(data.size() > kBodyOffset, "store manifest has no body");
-  const std::uint32_t crc_actual = util::crc32(
-      data.data() + kBodyOffset, data.size() - kBodyOffset);
-  NUMARCK_EXPECT(crc_actual == crc_stored,
-                 "store manifest CRC mismatch (torn write or forged manifest)");
+  const auto body = io::open_envelope(kStoreMagic, data, "store manifest");
+  util::ByteReader r(body);
   NUMARCK_EXPECT(r.get_varint() == kStoreVersion,
                  "unsupported store manifest version");
   ParsedManifest m;
   const std::size_t nvars = r.get_varint();
-  // Every variable owns at least one length byte, so the file size bounds
+  // Every variable owns at least one length byte, so the body size bounds
   // any honest count; forged counts die before the loops allocate.
-  NUMARCK_EXPECT(nvars >= 1 && nvars <= data.size(),
+  NUMARCK_EXPECT(nvars >= 1 && nvars <= body.size(),
                  "store manifest variable count out of range");
   for (std::size_t v = 0; v < nvars; ++v) {
     m.variables.push_back(r.get_string());
   }
   const std::size_t nentries = r.get_varint();
-  NUMARCK_EXPECT(nentries <= data.size(),
+  NUMARCK_EXPECT(nentries <= body.size(),
                  "store manifest entry count out of range");
   for (std::size_t e = 0; e < nentries; ++e) {
     EntryInfo entry;
@@ -111,12 +103,7 @@ ParsedManifest parse_store_manifest(std::span<const std::uint8_t> data) {
   return m;
 }
 
-std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
-  io::FileSource source(path);
-  return io::read_all(source);
-}
-
-std::vector<std::uint8_t> serialize_store_manifest(
+std::vector<std::uint8_t> serialize_store_body(
     const std::vector<std::string>& variables,
     const std::vector<EntryInfo>& entries) {
   util::ByteWriter body;
@@ -131,11 +118,7 @@ std::vector<std::uint8_t> serialize_store_manifest(
     body.put_f64(e.sim_time);
     body.put_string(e.file);
   }
-  util::ByteWriter w;
-  w.put_u64(kStoreMagic);
-  w.put_u32(util::crc32(body.bytes().data(), body.size()));
-  w.put_bytes(body.bytes().data(), body.size());
-  return w.take();
+  return body.take();
 }
 
 }  // namespace
@@ -214,47 +197,23 @@ CheckpointStore::~CheckpointStore() { stop_compactor(); }
 
 // ---------------------------------------------------------------- helpers --
 
-std::unique_ptr<io::ByteSink> CheckpointStore::make_sink(
-    const std::string& path) const {
-  if (opts_.sink_factory) return opts_.sink_factory(path);
-  return std::make_unique<io::FileSink>(path);
-}
-
 void CheckpointStore::publish_manifest(const std::vector<EntryInfo>& entries) {
-  const auto bytes = serialize_store_manifest(vars_, entries);
-  const std::string final_path = dir_ + "/" + kManifestName;
-  const std::string tmp_path = final_path + ".tmp";
-  try {
-    auto sink = make_sink(tmp_path);
-    sink->write(bytes.data(), bytes.size());
-    sink->sync();
-    sink->close();
-  } catch (...) {
-    // Best-effort: a reopen would sweep the stale tmp anyway, but a live
-    // process (e.g. a parked compactor) should not accumulate residue.
-    std::remove(tmp_path.c_str());
-    throw;
-  }
-  io::atomic_replace(tmp_path, final_path);
+  io::publish_envelope(dir_ + "/" + kManifestName, kStoreMagic,
+                       serialize_store_body(vars_, entries), opts_.sink_factory);
 }
 
 void CheckpointStore::write_container(
     const std::string& file, double sim_time,
-    const std::vector<std::pair<std::string, core::CompressedStep>>& steps)
-    const {
-  const std::string final_path = dir_ + "/" + file;
-  const std::string tmp_path = final_path + ".tmp";
-  try {
-    io::CheckpointWriter writer(make_sink(tmp_path), vars_, opts_.durability);
-    for (const auto& [variable, step] : steps) {
-      writer.append(variable, 0, sim_time, step);
-    }
-    writer.close();
-  } catch (...) {
-    std::remove(tmp_path.c_str());  // see publish_manifest
-    throw;
-  }
-  io::atomic_replace(tmp_path, final_path);
+    const std::vector<core::CompressedStep>& steps) const {
+  io::publish_via_tmp(
+      dir_ + "/" + file, opts_.sink_factory,
+      [&](std::unique_ptr<io::ByteSink> sink) {
+        io::CheckpointWriter writer(std::move(sink), vars_, opts_.durability);
+        for (std::size_t v = 0; v < vars_.size(); ++v) {
+          writer.append(vars_[v], 0, sim_time, steps.at(v));
+        }
+        writer.close();
+      });
 }
 
 std::size_t CheckpointStore::entry_index(std::size_t iteration) const {
@@ -267,38 +226,33 @@ std::size_t CheckpointStore::entry_index(std::size_t iteration) const {
   return static_cast<std::size_t>(it - entries_.begin());
 }
 
-std::size_t CheckpointStore::chain_start(std::size_t index) const {
-  std::size_t i = index;
-  while (!entries_[i].reference_free) {
-    NUMARCK_EXPECT(i > 0, "store entry has a broken delta chain");
-    --i;
+void CheckpointStore::replay_locked(
+    core::ChainReplay& replay, std::size_t index,
+    const std::vector<std::string>& variables) const {
+  std::size_t start = index;
+  while (!entries_[start].reference_free) {
+    NUMARCK_EXPECT(start > 0, "store entry has a broken delta chain");
+    --start;
   }
-  return i;
-}
-
-std::vector<double> CheckpointStore::reconstruct_locked(
-    const std::string& variable, std::size_t index) const {
-  core::VariableReconstructor recon;
-  for (std::size_t i = chain_start(index); i <= index; ++i) {
+  replay.replay_to(start, index, [&](std::size_t i, auto& out) {
+    mu_.assert_held();
+    // One container open per chain entry, every requested variable from it.
     const io::CheckpointReader reader(dir_ + "/" + entries_[i].file,
                                       io::TailPolicy::kStrict);
-    recon.push(reader.load(variable, 0));
-  }
-  return recon.state();
+    for (const auto& v : variables) out.push_back(reader.load(v, 0));
+  });
 }
 
-EntryInfo CheckpointStore::write_standalone_locked(std::size_t index) const {
-  const EntryInfo& src = entries_[index];
-  std::vector<std::pair<std::string, core::CompressedStep>> steps;
-  steps.reserve(vars_.size());
-  for (const auto& v : vars_) {
+EntryInfo CheckpointStore::write_standalone_locked(
+    std::size_t index, const core::ChainReplay& replayed) const {
+  std::vector<core::CompressedStep> steps;
+  for (std::size_t v = 0; v < vars_.size(); ++v) {
     // full_from is lossless over the replayed state, so the rewritten entry
     // restores bit-exactly what the delta chain restored.
-    steps.emplace_back(
-        v, core::CompressedStep::full_from(reconstruct_locked(v, index)));
+    steps.push_back(core::CompressedStep::full_from(replayed.state(v)));
   }
-  EntryInfo out = src;
-  out.file = standalone_name(src.iteration);
+  EntryInfo out = entries_[index];
+  out.file = standalone_name(out.iteration);
   out.reference_free = true;
   write_container(out.file, out.sim_time, steps);
   return out;
@@ -311,14 +265,18 @@ void CheckpointStore::put(
     const std::map<std::string, core::CompressedStep>& steps) {
   NUMARCK_EXPECT(steps.size() == vars_.size(),
                  "put needs a step for every store variable");
-  std::vector<std::pair<std::string, core::CompressedStep>> ordered;
-  ordered.reserve(vars_.size());
+  std::vector<core::CompressedStep> ordered;
   bool reference_free = true;
   for (const auto& v : vars_) {
     const auto it = steps.find(v);
     NUMARCK_EXPECT(it != steps.end(), "put is missing variable: " + v);
-    reference_free = reference_free && step_is_reference_free(it->second);
-    ordered.emplace_back(v, it->second);
+    NUMARCK_EXPECT(!is_linear_delta(it->second),
+                   "put: variable " + v + " holds a linear-predicted delta; "
+                   "a prune or compaction rewrite cannot give it the second "
+                   "state it decodes against (encode with Predictor::kPrevious)");
+    reference_free = reference_free &&
+                     core::starts_chain(it->second.is_full, it->second.codec_id);
+    ordered.push_back(it->second);
   }
   util::MutexLock lk(mu_);
   NUMARCK_EXPECT(entries_.empty() || iteration > entries_.back().iteration,
@@ -367,43 +325,35 @@ PruneReport CheckpointStore::prune(std::size_t keep_last,
   if (entries_.empty()) return report;
   const std::size_t n = entries_.size();
 
-  std::vector<bool> keep(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    const EntryInfo& e = entries_[i];
-    keep[i] = i + keep_last >= n || e.tier == Tier::kBest ||
-              (keep_every > 0 && e.iteration % keep_every == 0);
-  }
-
   // Rewrite every retained entry whose delta chain crosses a dropped one
-  // BEFORE anything is deleted, while the chain is still replayable.
+  // BEFORE anything is deleted, while the chain is still replayable. The
+  // rewrites of one chain come in ascending order, so the single replay
+  // below continues along it and decodes each chain entry once.
+  core::ChainReplay replay(vars_.size());
   std::vector<EntryInfo> kept;
   std::vector<std::string> doomed;  // files to unlink after the publish
+  bool chain_broken = false;  // the current chain crosses a dropped entry
   for (std::size_t i = 0; i < n; ++i) {
-    if (!keep[i]) {
-      doomed.push_back(entries_[i].file);
+    EntryInfo e = entries_[i];
+    const bool epoch = keep_every > 0 && e.iteration % keep_every == 0;
+    if (e.reference_free) chain_broken = false;
+    if (i + keep_last < n && e.tier != Tier::kBest && !epoch) {
+      chain_broken = true;
+      doomed.push_back(e.file);
       ++report.dropped;
       continue;
     }
-    EntryInfo e = entries_[i];
-    if (!e.reference_free) {
-      bool chain_retained = true;
-      for (std::size_t j = chain_start(i); j < i; ++j) {
-        if (!keep[j]) {
-          chain_retained = false;
-          break;
-        }
-      }
-      if (!chain_retained) {
-        doomed.push_back(e.file);
-        e = write_standalone_locked(i);
-        ++report.rewritten;
-      }
+    if (!e.reference_free && chain_broken) {
+      doomed.push_back(e.file);
+      replay_locked(replay, i, vars_);
+      e = write_standalone_locked(i, replay);
+      ++report.rewritten;
     }
     // Retention tiers are recomputed by every sweep; only kBest is sticky.
     if (e.tier != Tier::kBest) {
       if (i + 1 == n) {
         e.tier = Tier::kLatest;
-      } else if (keep_every > 0 && e.iteration % keep_every == 0) {
+      } else if (epoch) {
         e.tier = Tier::kEpoch;
       } else {
         e.tier = Tier::kRolling;
@@ -418,14 +368,7 @@ PruneReport CheckpointStore::prune(std::size_t keep_last,
   // names a missing file.
   publish_manifest(kept);
   entries_ = std::move(kept);
-  for (const auto& file : doomed) {
-    const std::string path = dir_ + "/" + file;
-    if (std::remove(path.c_str()) != 0) {
-      std::fprintf(stderr,
-                   "numarck: prune could not unlink %s (left as orphan)\n",
-                   path.c_str());
-    }
-  }
+  for (const auto& file : doomed) unlink_unreferenced(dir_ + "/" + file, "prune");
   return report;
 }
 
@@ -442,19 +385,16 @@ bool CheckpointStore::compact_once() {
         (opts_.epoch_every > 0 && e.iteration % opts_.epoch_every == 0);
     if (!eligible) continue;
 
-    EntryInfo merged = write_standalone_locked(i);
+    core::ChainReplay replay(vars_.size());
+    replay_locked(replay, i, vars_);
+    EntryInfo merged = write_standalone_locked(i, replay);
     if (merged.tier == Tier::kRolling) merged.tier = Tier::kEpoch;
+    const std::string old_path = dir_ + "/" + e.file;
     std::vector<EntryInfo> candidate = entries_;
-    const std::string old_file = candidate[i].file;
     candidate[i] = std::move(merged);
     publish_manifest(candidate);
     entries_ = std::move(candidate);
-    const std::string old_path = dir_ + "/" + old_file;
-    if (std::remove(old_path.c_str()) != 0) {
-      std::fprintf(stderr,
-                   "numarck: compactor could not unlink %s (left as orphan)\n",
-                   old_path.c_str());
-    }
+    unlink_unreferenced(old_path, "compactor");
     return true;
   }
   return false;
@@ -478,23 +418,20 @@ std::vector<double> CheckpointStore::get_variable(const std::string& variable,
   NUMARCK_EXPECT(std::find(vars_.begin(), vars_.end(), variable) != vars_.end(),
                  "unknown store variable: " + variable);
   util::MutexLock lk(mu_);
-  return reconstruct_locked(variable, entry_index(iteration));
+  core::ChainReplay replay(1);
+  replay_locked(replay, entry_index(iteration), {variable});
+  return replay.state(0);
 }
 
 std::map<std::string, std::vector<double>> CheckpointStore::get(
     std::size_t iteration) const {
   util::MutexLock lk(mu_);
-  const std::size_t index = entry_index(iteration);
-  // One pass over the chain files, all variables per file.
-  std::map<std::string, core::VariableReconstructor> recon;
-  for (const auto& v : vars_) recon.emplace(v, core::VariableReconstructor{});
-  for (std::size_t i = chain_start(index); i <= index; ++i) {
-    const io::CheckpointReader reader(dir_ + "/" + entries_[i].file,
-                                      io::TailPolicy::kStrict);
-    for (const auto& v : vars_) recon.at(v).push(reader.load(v, 0));
-  }
+  core::ChainReplay replay(vars_.size());
+  replay_locked(replay, entry_index(iteration), vars_);
   std::map<std::string, std::vector<double>> out;
-  for (const auto& v : vars_) out[v] = recon.at(v).state();
+  for (std::size_t v = 0; v < vars_.size(); ++v) {
+    out[vars_[v]] = replay.state(v);
+  }
   return out;
 }
 
@@ -533,14 +470,12 @@ FileHealth probe_container(const std::string& path,
         *detail = "container lacks a record for variable " + v;
         return FileHealth::kUnreadable;
       }
-      if (claimed_reference_free) {
-        const codec::Codec* c = codec::find(info->codec_id);
-        if (info->type != io::RecordType::kFull &&
-            (c == nullptr || c->caps().temporal)) {
-          *detail = "manifest claims reference-free but the container holds "
-                    "a temporal delta";
-          return FileHealth::kUnreadable;
-        }
+      if (claimed_reference_free &&
+          !core::starts_chain(info->type == io::RecordType::kFull,
+                              info->codec_id)) {
+        *detail = "manifest claims reference-free but the container holds "
+                  "a temporal delta";
+        return FileHealth::kUnreadable;
       }
     }
     return FileHealth::kIntact;
@@ -562,7 +497,6 @@ FileHealth probe_container(const std::string& path,
 }  // namespace
 
 void CheckpointStore::recover_open() {
-  const std::string manifest_path = dir_ + "/" + kManifestName;
   auto note = [this](RecoveryIssue issue, const std::string& file,
                      const std::string& action, const std::string& detail) {
     std::fprintf(stderr, "numarck: store recovery: %s %s (%s)%s%s\n",
@@ -571,41 +505,30 @@ void CheckpointStore::recover_open() {
     recovery_.push_back({issue, file, action, detail});
   };
 
-  // 1. Sweep interrupted tmp+rename publishes (manifest temporaries,
+  // 1. The published manifest is the single source of truth; only its
+  //    absence or corruption aborts the open. Recovery acts on exactly what
+  //    the read-only inspection reports.
+  const StoreInspection found = inspect_store(dir_);
+  vars_ = found.variables;
+
+  // 2. Sweep interrupted tmp+rename publishes (manifest temporaries,
   //    container temporaries, compactor temporaries) — all end in ".tmp"
   //    and none were ever acknowledged.
-  std::vector<std::string> dir_files;
-  {
-    std::error_code ec;
-    for (const auto& de : fs::directory_iterator(dir_, ec)) {
-      if (!de.is_regular_file()) continue;
-      dir_files.push_back(de.path().filename().string());
-    }
-    NUMARCK_EXPECT(!ec, "cannot list store directory: " + dir_);
-  }
-  for (const auto& name : dir_files) {
-    if (is_tmp_name(name) && io::remove_stale_tmp(dir_ + "/" + name)) {
+  for (const auto& name : found.stale_tmps) {
+    if (io::remove_stale_tmp(dir_ + "/" + name)) {
       note(RecoveryIssue::kStaleTmp, name, "deleted",
            "interrupted atomic publish");
     }
   }
 
-  // 2. The published manifest is the single source of truth. Only its
-  //    absence or corruption aborts the open.
-  const auto parsed = parse_store_manifest(read_file_bytes(manifest_path));
-  vars_ = parsed.variables;
-
-  // 3. Probe every referenced container; drop damaged entries and everything
-  //    whose delta chain crosses one.
+  // 3. Drop damaged entries and everything whose delta chain crosses one.
   std::vector<EntryInfo> kept;
   std::vector<std::string> to_quarantine;
   bool chain_poisoned = false;
-  for (const auto& entry : parsed.entries) {
-    std::string detail;
-    const FileHealth health = probe_container(
-        dir_ + "/" + entry.file, vars_, entry.reference_free, &detail);
+  for (const StoreFileInfo& f : found.files) {
+    const EntryInfo& entry = f.entry;
     if (entry.reference_free) chain_poisoned = false;
-    if (health == FileHealth::kIntact && !entry.reference_free &&
+    if (f.health == FileHealth::kIntact && !entry.reference_free &&
         (chain_poisoned || kept.empty())) {
       // Its predecessor entry was dropped (or never existed): the delta can
       // no longer be decoded even though its own file is intact.
@@ -615,19 +538,19 @@ void CheckpointStore::recover_open() {
       to_quarantine.push_back(entry.file);
       continue;
     }
-    switch (health) {
+    switch (f.health) {
       case FileHealth::kIntact:
         kept.push_back(entry);
         continue;
       case FileHealth::kMissing:
-        note(RecoveryIssue::kMissing, entry.file, "dropped", detail);
+        note(RecoveryIssue::kMissing, entry.file, "dropped", f.detail);
         break;
       case FileHealth::kTorn:
-        note(RecoveryIssue::kTorn, entry.file, "quarantined", detail);
+        note(RecoveryIssue::kTorn, entry.file, "quarantined", f.detail);
         to_quarantine.push_back(entry.file);
         break;
       case FileHealth::kUnreadable:
-        note(RecoveryIssue::kUnreadable, entry.file, "quarantined", detail);
+        note(RecoveryIssue::kUnreadable, entry.file, "quarantined", f.detail);
         to_quarantine.push_back(entry.file);
         break;
     }
@@ -638,18 +561,10 @@ void CheckpointStore::recover_open() {
   //    a put/prune/compaction that died between its container rename and its
   //    manifest publish. They were never acknowledged, so they are moved
   //    aside (not deleted — operators may still want the bytes).
-  for (const auto& name : dir_files) {
-    if (!is_container_name(name)) continue;
-    const bool referenced =
-        std::any_of(kept.begin(), kept.end(),
-                    [&](const EntryInfo& e) { return e.file == name; }) ||
-        std::any_of(to_quarantine.begin(), to_quarantine.end(),
-                    [&](const std::string& q) { return q == name; });
-    if (!referenced) {
-      note(RecoveryIssue::kOrphan, name, "quarantined",
-           "container not acknowledged by the manifest");
-      to_quarantine.push_back(name);
-    }
+  for (const auto& name : found.orphans) {
+    note(RecoveryIssue::kOrphan, name, "quarantined",
+         "container not acknowledged by the manifest");
+    to_quarantine.push_back(name);
   }
 
   // 5. Publish the repaired manifest first, then move the damaged files:
@@ -658,9 +573,7 @@ void CheckpointStore::recover_open() {
   {
     util::MutexLock lk(mu_);
     entries_ = std::move(kept);
-    if (entries_.size() != parsed.entries.size()) {
-      publish_manifest(entries_);
-    }
+    if (entries_.size() != found.files.size()) publish_manifest(entries_);
   }
   if (!to_quarantine.empty()) {
     const std::string qdir = dir_ + "/" + kQuarantineDir;
@@ -759,9 +672,8 @@ void CheckpointStore::compactor_loop() {
 StoreInspection inspect_store(const std::string& dir) {
   NUMARCK_EXPECT(fs::is_directory(dir),
                  "not a checkpoint store directory: " + dir);
-  const auto parsed =
-      parse_store_manifest(read_file_bytes(
-          dir + "/" + CheckpointStore::kManifestName));
+  io::FileSource manifest(dir + "/" + CheckpointStore::kManifestName);
+  const auto parsed = parse_store_manifest(io::read_all(manifest));
   StoreInspection out;
   out.variables = parsed.variables;
   for (const auto& entry : parsed.entries) {
@@ -781,14 +693,15 @@ StoreInspection inspect_store(const std::string& dir) {
   for (const auto& de : fs::directory_iterator(dir, ec)) {
     if (!de.is_regular_file()) continue;
     const std::string name = de.path().filename().string();
-    if (is_tmp_name(name)) {
+    if (name.size() > 4 && name.ends_with(".tmp")) {
       out.stale_tmps.push_back(name);
-    } else if (is_container_name(name) &&
+    } else if (name.size() > 4 && name.ends_with(".nck") &&
                std::none_of(parsed.entries.begin(), parsed.entries.end(),
                             [&](const EntryInfo& e) { return e.file == name; })) {
       out.orphans.push_back(name);
     }
   }
+  NUMARCK_EXPECT(!ec, "cannot list store directory: " + dir);
   const std::string qdir = dir + "/" + CheckpointStore::kQuarantineDir;
   if (fs::is_directory(qdir)) {
     for (const auto& de : fs::directory_iterator(qdir, ec)) {

@@ -32,7 +32,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -76,11 +75,9 @@ struct StoreOptions {
   /// Base of the exponential backoff between compactor retries.
   std::chrono::milliseconds compact_backoff{5};
 
-  /// Sink factory for every file the store writes (container and manifest
-  /// temporaries). The crash harness wraps FileSink in FaultyFile/ErringFile
-  /// here; nullptr = plain FileSink.
-  std::function<std::unique_ptr<io::ByteSink>(const std::string&)>
-      sink_factory;
+  /// Sink for every file the store writes (container and manifest
+  /// temporaries); see io::SinkFactory.
+  io::SinkFactory sink_factory;
 };
 
 /// One manifest entry: a retained checkpoint iteration.
@@ -226,20 +223,21 @@ class CheckpointStore {
  private:
   void recover_open();
   void publish_manifest(const std::vector<EntryInfo>& entries) REQUIRES(mu_);
-  [[nodiscard]] std::unique_ptr<io::ByteSink> make_sink(
-      const std::string& path) const;
+  /// Publishes one container holding `steps[v]` for every store variable v.
   void write_container(const std::string& file, double sim_time,
-                       const std::vector<std::pair<std::string,
-                                                   core::CompressedStep>>&
-                           steps) const;
+                       const std::vector<core::CompressedStep>& steps) const;
   [[nodiscard]] std::size_t entry_index(std::size_t iteration) const
       REQUIRES(mu_);
-  [[nodiscard]] std::size_t chain_start(std::size_t index) const REQUIRES(mu_);
-  [[nodiscard]] std::vector<double> reconstruct_locked(
-      const std::string& variable, std::size_t index) const REQUIRES(mu_);
-  /// Reconstructs entry `index` and writes it as a standalone reference-free
-  /// container; returns the updated entry. entries_ is not modified.
-  [[nodiscard]] EntryInfo write_standalone_locked(std::size_t index) const
+  /// Replays `variables` to entry `index` from its nearest reference-free
+  /// predecessor, continuing where `replay` stands when it is on that chain.
+  void replay_locked(core::ChainReplay& replay, std::size_t index,
+                     const std::vector<std::string>& variables) const
+      REQUIRES(mu_);
+  /// Writes entry `index`, replayed over every store variable in `replayed`,
+  /// as a standalone reference-free container; returns the updated entry.
+  /// entries_ is not modified.
+  [[nodiscard]] EntryInfo write_standalone_locked(
+      std::size_t index, const core::ChainReplay& replayed) const
       REQUIRES(mu_);
   void compactor_loop();
 

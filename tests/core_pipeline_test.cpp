@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "numarck/codec/codec.hpp"
 #include "numarck/core/compressor.hpp"
 #include "numarck/metrics/metrics.hpp"
 #include "numarck/util/expect.hpp"
@@ -259,12 +261,122 @@ TEST(Predictor, LinearDeltaWithoutHistoryThrowsOnDecode) {
   (void)comp.push(evolving_snapshot(128, 0.0));
   (void)comp.push(evolving_snapshot(128, 0.3));
   const auto linear_delta = comp.push(evolving_snapshot(128, 0.6));
-  const auto enc = nk::EncodedIteration::deserialize(linear_delta.payload);
-  ASSERT_EQ(enc.predictor, nk::Predictor::kLinear);
-  // Feed it to a reconstructor holding only ONE state.
+  ASSERT_EQ(nk::EncodedIteration::deserialize(linear_delta.payload).predictor,
+            nk::Predictor::kLinear);
+  // Feed it to a reconstructor holding only ONE state: the numarck codec's
+  // linear-history check rejects it.
   nk::Options plain;
   nk::VariableCompressor c2(plain);
   nk::VariableReconstructor rec;
   rec.push(c2.push(evolving_snapshot(128, 0.0)));
-  EXPECT_THROW(rec.push_delta(enc), numarck::ContractViolation);
+  try {
+    rec.push(linear_delta);
+    FAIL() << "linear delta decoded without two states";
+  } catch (const numarck::ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("linear-coded delta without two states"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// ------------------------------------------------------------ chain replay --
+
+namespace {
+
+/// Two variables, rebased at `rebase`: records[position][variable].
+std::vector<std::vector<nk::CompressedStep>> two_variable_stream(
+    std::size_t count, std::size_t rebase) {
+  std::vector<nk::VariableCompressor> comps(2, nk::VariableCompressor({}));
+  std::vector<std::vector<nk::CompressedStep>> records(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t v = 0; v < comps.size(); ++v) {
+      if (i == rebase) comps[v] = nk::VariableCompressor({});
+      records[i].push_back(comps[v].push(evolving_snapshot(
+          256, static_cast<double>(i) + 0.7 * static_cast<double>(v))));
+    }
+  }
+  return records;
+}
+
+/// The state an independent reconstructor reaches at `target`.
+std::vector<double> replayed(
+    const std::vector<std::vector<nk::CompressedStep>>& records,
+    std::size_t start, std::size_t target, std::size_t v) {
+  nk::VariableReconstructor rec;
+  for (std::size_t i = start; i <= target; ++i) rec.push(records[i][v]);
+  return rec.state();
+}
+
+}  // namespace
+
+TEST(ChainReplay, ContinuesAlongOneChainAndRestartsOtherwise) {
+  const auto records = two_variable_stream(10, 6);
+  std::vector<std::size_t> loaded;
+  const nk::ChainReplay::RecordLoader load = [&](std::size_t i, auto& out) {
+    loaded.push_back(i);
+    out = records[i];
+  };
+  nk::ChainReplay replay(2);
+  const auto expect_state = [&](std::size_t start, std::size_t target) {
+    for (std::size_t v = 0; v < 2; ++v) {
+      EXPECT_EQ(replay.state(v), replayed(records, start, target, v))
+          << "target " << target << " variable " << v;
+    }
+  };
+
+  replay.replay_to(0, 3, load);
+  EXPECT_EQ(loaded, (std::vector<std::size_t>{0, 1, 2, 3}));
+  expect_state(0, 3);
+  // Same chain, later target: only the new records are decoded.
+  loaded.clear();
+  replay.replay_to(0, 5, load);
+  EXPECT_EQ(loaded, (std::vector<std::size_t>{4, 5}));
+  expect_state(0, 5);
+  // Same target again: nothing to decode.
+  loaded.clear();
+  replay.replay_to(0, 5, load);
+  EXPECT_TRUE(loaded.empty());
+  // An earlier target restarts the chain.
+  replay.replay_to(0, 1, load);
+  EXPECT_EQ(loaded, (std::vector<std::size_t>{0, 1}));
+  expect_state(0, 1);
+  // Another chain restarts at its own start.
+  loaded.clear();
+  replay.replay_to(6, 8, load);
+  EXPECT_EQ(loaded, (std::vector<std::size_t>{6, 7, 8}));
+  expect_state(6, 8);
+}
+
+TEST(ChainReplay, AThrowResetsTheReplay) {
+  const auto records = two_variable_stream(6, 6);
+  bool fail = true;
+  std::vector<std::size_t> loaded;
+  const nk::ChainReplay::RecordLoader load = [&](std::size_t i, auto& out) {
+    if (fail && i == 3) throw numarck::ContractViolation("injected load failure");
+    loaded.push_back(i);
+    out = records[i];
+  };
+  nk::ChainReplay replay(2);
+  EXPECT_THROW(replay.replay_to(0, 4, load), numarck::ContractViolation);
+  fail = false;
+  loaded.clear();
+  replay.replay_to(0, 4, load);
+  EXPECT_EQ(loaded, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(replay.state(1), replayed(records, 0, 4, 1));
+  // A delta cannot start a chain, and the loader must supply every variable.
+  EXPECT_THROW(replay.replay_to(2, 4, load), numarck::ContractViolation);
+  EXPECT_THROW(replay.replay_to(0, 0,
+                                [&](std::size_t i, auto& out) {
+                                  out.push_back(records[i][0]);
+                                }),
+               numarck::ContractViolation);
+}
+
+TEST(ChainReplay, StartsChainAtFullsAndSpatialRecords) {
+  namespace nc = numarck::codec;
+  EXPECT_TRUE(nk::starts_chain(true, nc::kFpcId));
+  EXPECT_FALSE(nk::starts_chain(false, nc::kNumarckId));
+  EXPECT_TRUE(nk::starts_chain(false, nc::kIsabelaId));
+  EXPECT_TRUE(nk::starts_chain(false, nc::kBsplineId));
+  EXPECT_FALSE(nk::starts_chain(false, 0x7f));  // unknown codec id
 }

@@ -22,6 +22,7 @@
 #include "numarck/core/compressor.hpp"
 #include "numarck/io/byte_source.hpp"
 #include "numarck/io/checkpoint_file.hpp"
+#include "numarck/io/distributed_checkpoint.hpp"
 #include "numarck/io/durable_file.hpp"
 #include "numarck/store/checkpoint_store.hpp"
 #include "numarck/util/expect.hpp"
@@ -212,6 +213,43 @@ TEST(DurabilityErrors, ManifestPublishFailureRollsBackTheAck) {
 // The read-side dual: a disk that goes bad *after* a checkpoint was written
 // and scanned. Payload loads must surface the EIO — a restart path can never
 // fabricate state from a failed read (DESIGN.md §7).
+TEST(DurabilityErrors, StorePublishesGoThroughTheSinkFactory) {
+  // Containers and manifests share one tmp+rename publish, so the factory
+  // sees every file the store writes, manifest temporaries included.
+  TempPath t("storefactory");
+  auto paths = std::make_shared<std::vector<std::string>>();
+  ns::StoreOptions opts;
+  opts.sink_factory =
+      [paths](const std::string& path) -> std::unique_ptr<nio::ByteSink> {
+    paths->push_back(fs::path(path).filename().string());
+    return std::make_unique<nio::FileSink>(path);
+  };
+  ns::CheckpointStore s(t.path, {kVar}, opts);
+  std::map<std::string, nk::CompressedStep> steps;
+  steps.emplace(kVar, full_step(0.0));
+  s.put(0, 0.0, steps);
+  EXPECT_EQ(*paths, (std::vector<std::string>{"store.manifest.tmp",
+                                              "it00000000.nck.tmp",
+                                              "store.manifest.tmp"}));
+}
+
+TEST(DurabilityErrors, ManifestSaveFailureLeavesNoTmp) {
+  // `<path>.tmp` points at /dev/full, so the manifest write fails with
+  // ENOSPC; the publish must surface it and remove its temporary.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this host";
+  TempPath t("manifestsave");
+  fs::create_directories(t.path);
+  const std::string path = t.path + "/run.manifest";
+  fs::create_symlink("/dev/full", path + ".tmp");
+  nio::Manifest m;
+  m.ranks = 1;
+  m.variables = {kVar};
+  m.partition_sizes = {4};
+  EXPECT_THROW(m.save(path), numarck::ContractViolation);
+  EXPECT_FALSE(fs::exists(fs::symlink_status(path + ".tmp")));
+  EXPECT_FALSE(fs::exists(path));
+}
+
 TEST(DurabilityErrors, ReadFailureAfterScanSurfacesOnLoad) {
   TempPath t("readeio");
   {

@@ -10,9 +10,11 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -22,6 +24,8 @@
 
 #include "numarck/adaptive/store_backed.hpp"
 #include "numarck/core/compressor.hpp"
+#include "numarck/io/checkpoint_file.hpp"
+#include "numarck/io/distributed_checkpoint.hpp"
 #include "numarck/io/durable_file.hpp"
 #include "numarck/store/checkpoint_store.hpp"
 #include "numarck/util/expect.hpp"
@@ -96,6 +100,21 @@ void expect_manifest_closed(const std::string& dir) {
     EXPECT_EQ(f.health, ns::FileHealth::kIntact)
         << f.entry.file << ": " << f.detail;
   }
+}
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const auto b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
 }
 
 void truncate_tail(const std::string& path, std::uint64_t drop) {
@@ -368,6 +387,169 @@ TEST(Store, CompactorParksAfterPersistentFailuresAndPutsStillWork) {
   s.stop_compactor();
   expect_manifest_closed(t.dir);
   EXPECT_TRUE(ns::inspect_store(t.dir).stale_tmps.empty());
+}
+
+TEST(Store, PruneAndCompactRewritesMatchAnIndependentReplay) {
+  // Three variables; a 13-delta chain (0 full, 1..13 deltas), a rebase at
+  // 14 and a 5-delta chain after it. Pins 5 and 9 sit on the long chain, so
+  // prune(6, 0) drops 0..4, 6..8, 10..13 and rewrites both pins standalone
+  // from one replay of that chain; pin 17 keeps its whole chain and is left
+  // for the compactor.
+  StoreDir t("oracle");
+  const std::vector<std::string> vars = {"dens", "pres", "temp"};
+  ns::CheckpointStore s(t.dir, vars);
+  std::vector<nk::VariableCompressor> comps(
+      vars.size(), nk::VariableCompressor(chain_options()));
+  std::vector<nk::VariableReconstructor> oracle(vars.size());
+  std::map<std::size_t, std::vector<std::vector<double>>> replayed;
+  for (std::size_t i = 0; i < 20; ++i) {
+    std::map<std::string, nk::CompressedStep> steps;
+    for (std::size_t v = 0; v < vars.size(); ++v) {
+      std::vector<double> x(96);
+      for (std::size_t j = 0; j < x.size(); ++j) {
+        x[j] = 2.0 + static_cast<double>(v) +
+               0.5 * std::sin(0.3 * static_cast<double>(i) +
+                              0.1 * static_cast<double>(j * (v + 1)));
+      }
+      if (i == 14) comps[v] = nk::VariableCompressor(chain_options());
+      const nk::CompressedStep step = comps[v].push(x);
+      ASSERT_EQ(step.is_full, i == 0 || i == 14);
+      oracle[v].push(step);
+      replayed[i].push_back(oracle[v].state());
+      steps.emplace(vars[v], step);
+    }
+    s.put(i, 0.5 * static_cast<double>(i), steps);
+  }
+  for (const std::size_t pin : {5u, 9u, 17u}) s.promote(pin, ns::Tier::kBest);
+
+  // Restores of the entries that survive, before any rewrite.
+  const std::set<std::size_t> survivors = {5, 9, 14, 15, 16, 17, 18, 19};
+  std::map<std::size_t, std::map<std::string, std::vector<double>>> before;
+  for (const auto it : survivors) before[it] = s.get(it);
+
+  const auto report = s.prune(6, 0);
+  EXPECT_EQ(report.kept, 8u);
+  EXPECT_EQ(report.dropped, 12u);
+  EXPECT_EQ(report.rewritten, 2u);
+  ASSERT_TRUE(s.compact_once());
+  EXPECT_FALSE(s.compact_once());
+  EXPECT_EQ(listed_iterations(s), survivors);
+
+  // Every standalone rewrite is byte-identical to a container written from
+  // the independent replay.
+  std::set<std::size_t> rewritten;
+  for (const auto& e : s.list()) {
+    if (e.file.find(".epoch.nck") == std::string::npos) continue;
+    rewritten.insert(e.iteration);
+    const std::string want = t.dir + "/oracle.nck";
+    {
+      nio::CheckpointWriter w(want, vars, nio::Durability::kNone);
+      for (std::size_t v = 0; v < vars.size(); ++v) {
+        w.append(vars[v], 0, e.sim_time,
+                 nk::CompressedStep::full_from(replayed.at(e.iteration)[v]));
+      }
+      w.close();
+    }
+    EXPECT_EQ(file_bytes(t.dir + "/" + e.file), file_bytes(want))
+        << "iteration " << e.iteration;
+    fs::remove(want);
+  }
+  EXPECT_EQ(rewritten, (std::set<std::size_t>{5, 9, 17}));
+
+  // Restores are bit-identical before and after, through get and get_variable.
+  for (const auto it : survivors) {
+    EXPECT_EQ(s.get(it), before.at(it)) << "iteration " << it;
+    for (std::size_t v = 0; v < vars.size(); ++v) {
+      EXPECT_EQ(s.get_variable(vars[v], it), replayed.at(it)[v])
+          << vars[v] << " at iteration " << it;
+    }
+  }
+  expect_manifest_closed(t.dir);
+}
+
+TEST(Store, RejectsLinearPredictedDeltas) {
+  // A rewritten standalone entry cannot give replay the second state a
+  // linear-predicted delta decodes against, so put refuses such deltas and
+  // every acknowledged entry stays restorable across prune and compaction.
+  nk::Options linear = chain_options();
+  linear.predictor = nk::Predictor::kLinear;
+  const auto put_linear = [&](ns::CheckpointStore& s, std::size_t i,
+                              nk::VariableCompressor& comp) {
+    std::map<std::string, nk::CompressedStep> steps;
+    steps.emplace(kVar, comp.push(snap(64, static_cast<double>(i))));
+    try {
+      s.put(i, static_cast<double>(i), steps);
+      return true;
+    } catch (const numarck::ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("linear-predicted delta"),
+                std::string::npos)
+          << e.what();
+      return false;
+    }
+  };
+  {
+    // Eight puts, prune(3, 0), one more put.
+    StoreDir t("linear_prune");
+    ns::CheckpointStore s(t.dir, {kVar});
+    nk::VariableCompressor comp(linear);
+    std::vector<std::size_t> rejected;
+    for (std::size_t i = 0; i < 9; ++i) {
+      if (i == 8) (void)s.prune(3, 0);
+      if (!put_linear(s, i, comp)) rejected.push_back(i);
+    }
+    // Iteration 2 is the first delta with two states of history.
+    ASSERT_FALSE(rejected.empty());
+    EXPECT_EQ(rejected.front(), 2u);
+    for (const auto& e : s.list()) {
+      EXPECT_NO_THROW((void)s.get(e.iteration)) << "iteration " << e.iteration;
+    }
+  }
+  {
+    // epoch_every = 3, then one compaction.
+    StoreDir t("linear_compact");
+    ns::StoreOptions opts;
+    opts.epoch_every = 3;
+    ns::CheckpointStore s(t.dir, {kVar}, opts);
+    nk::VariableCompressor comp(linear);
+    std::size_t acked = 0;
+    for (std::size_t i = 0; i < 7; ++i) acked += put_linear(s, i, comp) ? 1 : 0;
+    EXPECT_EQ(acked, 2u);
+    (void)s.compact_once();
+    for (const auto& e : s.list()) {
+      EXPECT_NO_THROW((void)s.get(e.iteration)) << "iteration " << e.iteration;
+    }
+    EXPECT_TRUE(ns::inspect_store(t.dir).orphans.empty());
+  }
+}
+
+TEST(ManifestEnvelope, GoldenBytesOfBothManifests) {
+  // Both manifests share one CRC'd envelope; these images pin the bytes the
+  // format had before the envelope was shared (docs/FORMAT.md §5, §8).
+  StoreDir t("golden");
+  fs::create_directories(t.dir);
+  nio::Manifest m;
+  m.ranks = 3;
+  m.variables = {"dens", "pres"};
+  m.partition_sizes = {10, 20, 7};
+  m.save(t.dir + "/dist.manifest");
+  EXPECT_EQ(hex(file_bytes(t.dir + "/dist.manifest")),
+            "46494e414d4b4d4e0f23635003020464656e7304707265730a1407");
+  EXPECT_FALSE(fs::exists(t.dir + "/dist.manifest.tmp"));
+
+  ns::CheckpointStore s(t.dir + "/store", {"a", "b"});
+  for (std::size_t i = 0; i < 3; ++i) {
+    std::map<std::string, nk::CompressedStep> steps;
+    const auto time = static_cast<double>(i);
+    steps.emplace("a", nk::CompressedStep::full_from(snap(4, time)));
+    steps.emplace("b", nk::CompressedStep::full_from(snap(4, 2.0 * time)));
+    s.put(2 * i + 1, 0.5 * static_cast<double>(i), steps);
+  }
+  s.promote(3, ns::Tier::kBest);
+  EXPECT_EQ(
+      hex(file_bytes(t.dir + "/store/" + ns::CheckpointStore::kManifestName)),
+      "31524f54534b4d4ebe591c930102016101620301010100000000000000000e69743030"
+      "3030303030312e6e636b030301000000000000e03f0e697430303030303030332e6e63"
+      "6b050001000000000000f03f0e697430303030303030352e6e636b");
 }
 
 // ---------------------------------------------------------------- recovery --

@@ -37,18 +37,12 @@ void write_doubles(const std::string& path, std::span<const double> values) {
   NUMARCK_EXPECT(out.good(), "write failed: " + path);
 }
 
-/// Post-pass label from a numarck delta payload's stream-flags byte at
-/// offset 7 (after the NMK1 magic and the index_bits/strategy/predictor
-/// bytes — FORMAT.md §2). "-" for fulls and non-numarck payloads.
+/// Post-pass label from a numarck delta payload's stream-flags byte
+/// (FORMAT.md §2). "-" for fulls and non-numarck payloads.
 std::string postpass_label(const core::CompressedStep& step) {
-  if (step.is_full || step.payload.size() < 8) return "-";
-  const auto& p = step.payload;
-  const std::uint32_t magic = static_cast<std::uint32_t>(p[0]) |
-                              (static_cast<std::uint32_t>(p[1]) << 8) |
-                              (static_cast<std::uint32_t>(p[2]) << 16) |
-                              (static_cast<std::uint32_t>(p[3]) << 24);
-  if (magic != 0x4E4D4B31u) return "-";  // "NMK1"
-  const std::uint8_t flags = p[7];
+  const auto prefix = core::EncodedIteration::peek(step.payload);
+  if (step.is_full || !prefix) return "-";
+  const std::uint8_t flags = prefix->stream_flags;
   std::string label =
       (flags & 0x08) ? "rans" : ((flags & 0x01) ? "huffman" : "raw");
   if (flags & 0x02) label += "+rle";
