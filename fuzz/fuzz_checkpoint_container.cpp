@@ -1,5 +1,6 @@
 // Fuzz target: the checkpoint container reader (header scan, record index,
-// CRC-verified load) under both tail policies.
+// CRC-verified load) and the chain-replay restore path under both tail
+// policies.
 //
 // kStrict must reject any structural damage with ContractViolation; kSalvage
 // must additionally survive arbitrary tails, keeping every record before the
@@ -8,6 +9,12 @@
 // codec ids and full records tagged with a temporal codec BEFORE sizing any
 // allocation from the record (seeds: unknown_codec_id, full_temporal_codec),
 // and v1 images (no codec byte) must keep parsing as implicit FPC/NUMARCK.
+//
+// Every variable is also restored through RestartEngine at each iteration
+// that holds a record. That path reads records CRC-checked only and leaves
+// the structural checks to Codec::decode, so the only accepted outcomes are
+// a restore or a ContractViolation (seeds forged_*: valid CRC, broken
+// payload).
 //
 // The reader is backed by io::ContainerScanner over an io::MemorySource, so
 // this target covers the whole-buffer policy/load surface; fuzz_scanner
@@ -22,6 +29,7 @@ namespace {
 void probe(const numarck::io::CheckpointReader& reader) {
   const auto last = reader.last_complete_iteration();
   (void)last;
+  const numarck::io::RestartEngine engine(reader);
   for (const auto& v : reader.variables()) {
     for (std::size_t it = 0; it < reader.iteration_count(); ++it) {
       if (!reader.info(v, it)) continue;
@@ -29,6 +37,11 @@ void probe(const numarck::io::CheckpointReader& reader) {
         (void)reader.load(v, it);
       } catch (const numarck::ContractViolation&) {
         // Torn payload / CRC mismatch / malformed record — clean rejection.
+      }
+      try {
+        (void)engine.reconstruct_variable(v, it);
+      } catch (const numarck::ContractViolation&) {
+        // Broken chain or a record decode rejects — clean rejection.
       }
     }
   }

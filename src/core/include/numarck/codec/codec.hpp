@@ -91,9 +91,16 @@ class Codec {
       std::span<const double> previous2,
       std::size_t expected_points) const = 0;
 
-  /// Structurally parses (and bounds-checks) a payload without decoding the
-  /// data, returning its point count. Throws ContractViolation on any
-  /// malformed stream — the container's load-time deep validation.
+  /// Structurally parses (and bounds-checks) a payload without producing
+  /// the reconstructed values, returning its point count. Throws
+  /// ContractViolation on any malformed stream. How much it parses is per
+  /// codec: fpc walks the header bits; the spatial codecs deserialize the
+  /// model and patch stream; numarck runs the full
+  /// EncodedIteration::deserialize, entropy (rANS/Huffman) index decode and
+  /// FPC exact-value decode included — nearly the cost of decode itself.
+  /// Called by io::CheckpointReader::load, for readers that inspect records
+  /// without decoding them (numarck-inspect, numarck-bench-codec). The
+  /// chain-replay restore path skips it: decode runs the same checks.
   [[nodiscard]] virtual std::size_t validate_payload(
       std::span<const std::uint8_t> payload) const = 0;
 };

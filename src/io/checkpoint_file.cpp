@@ -155,28 +155,25 @@ class CheckpointReader::Impl final : private ScanEvents {
     return it->second;
   }
 
-  [[nodiscard]] core::CompressedStep load(const std::string& variable,
+  [[nodiscard]] core::CompressedStep read(const std::string& variable,
                                           std::size_t iteration) const {
     const auto inf = info(variable, iteration);
     NUMARCK_EXPECT(inf.has_value(), "checkpoint record not found: " + variable);
-    // The scan validated payload_offset/payload_size + 4 trailing CRC bytes
-    // against the source size, so these reads are in range by construction.
-    std::vector<std::uint8_t> payload(inf->payload_size);
-    if (!payload.empty()) {
-      src_->read_at(inf->payload_offset, payload.data(), payload.size());
-    }
+    // One positional read takes the payload and its trailing CRC. The scan
+    // validated payload_offset/payload_size + 4 CRC bytes against the source
+    // size, so the read is in range by construction.
+    std::vector<std::uint8_t> payload(inf->payload_size +
+                                      sizeof(std::uint32_t));
+    src_->read_at(inf->payload_offset, payload.data(), payload.size());
     std::uint32_t crc_stored = 0;
-    src_->read_at(inf->payload_offset + inf->payload_size, &crc_stored,
-                  sizeof crc_stored);
+    std::memcpy(&crc_stored, payload.data() + inf->payload_size,
+                sizeof crc_stored);
+    payload.resize(inf->payload_size);
     NUMARCK_EXPECT(util::crc32(payload.data(), payload.size()) == crc_stored,
                    "checkpoint payload CRC mismatch (torn write?)");
     core::CompressedStep step;
     step.codec_id = inf->codec_id;
     step.is_full = inf->type == RecordType::kFull;
-    // Deep structural validation through the record's codec: every count and
-    // offset inside the payload is bounds-checked here, so a record that
-    // loads cleanly also decodes cleanly.
-    step.point_count = codec::require(inf->codec_id).validate_payload(payload);
     step.payload = std::move(payload);
     return step;
   }
@@ -287,9 +284,20 @@ std::optional<RecordInfo> CheckpointReader::info(const std::string& variable,
   return impl_->info(variable, iteration);
 }
 
+core::CompressedStep CheckpointReader::read(const std::string& variable,
+                                            std::size_t iteration) const {
+  return impl_->read(variable, iteration);
+}
+
 core::CompressedStep CheckpointReader::load(const std::string& variable,
                                             std::size_t iteration) const {
-  return impl_->load(variable, iteration);
+  core::CompressedStep step = read(variable, iteration);
+  // Deep structural validation through the record's codec: every count and
+  // offset inside the payload is bounds-checked here, so a record that
+  // loads cleanly also decodes cleanly.
+  step.point_count =
+      codec::require(step.codec_id).validate_payload(step.payload);
+  return step;
 }
 
 double CheckpointReader::sim_time(std::size_t iteration) const {
@@ -319,9 +327,11 @@ std::vector<double> RestartEngine::reconstruct_variable(
   }
   NUMARCK_EXPECT(start.has_value(),
                  "no full checkpoint at or before the requested iteration");
+  // Records are read CRC-checked but not validate_payload'ed: decode runs
+  // the same structural checks, so each record is parsed once.
   core::ChainReplay replay(1);
   replay.replay_to(*start, iteration, [&](std::size_t it, auto& out) {
-    out.push_back(reader_.load(variable, it));
+    out.push_back(reader_.read(variable, it));
   });
   return replay.state(0);
 }

@@ -130,9 +130,21 @@ class CheckpointReader {
   [[nodiscard]] std::optional<RecordInfo> info(const std::string& variable,
                                                std::size_t iteration) const;
 
-  /// Loads one record as a codec-tagged CompressedStep: CRC-verifies the
-  /// payload, then structurally validates it through the record's codec
-  /// (Codec::validate_payload) and fills in the point count.
+  /// Reads one record as a codec-tagged CompressedStep: the payload and its
+  /// trailing CRC in one positional read, then the CRC check (mismatch
+  /// throws ContractViolation). The payload is NOT structurally validated
+  /// and `point_count` is 0 ("unknown"), so the only safe consumer is
+  /// Codec::decode, which runs the codec's full structural checks and bounds
+  /// an unknown count by EncodedIteration::kDefaultMaxPointCount. This is
+  /// what the chain-replay loaders (RestartEngine, CheckpointStore) use:
+  /// each record is then parsed once, by decode.
+  [[nodiscard]] core::CompressedStep read(const std::string& variable,
+                                          std::size_t iteration) const;
+
+  /// read() plus deep structural validation through the record's codec
+  /// (Codec::validate_payload), which also fills in `point_count`. A record
+  /// that loads cleanly also decodes cleanly. For callers that inspect
+  /// records without decoding them (numarck-inspect, numarck-bench-codec).
   [[nodiscard]] core::CompressedStep load(const std::string& variable,
                                           std::size_t iteration) const;
 

@@ -237,9 +237,11 @@ void CheckpointStore::replay_locked(
   replay.replay_to(start, index, [&](std::size_t i, auto& out) {
     mu_.assert_held();
     // One container open per chain entry, every requested variable from it.
+    // CRC-checked reads only: decode is the structural check, so each record
+    // is parsed once.
     const io::CheckpointReader reader(dir_ + "/" + entries_[i].file,
                                       io::TailPolicy::kStrict);
-    for (const auto& v : variables) out.push_back(reader.load(v, 0));
+    for (const auto& v : variables) out.push_back(reader.read(v, 0));
   });
 }
 

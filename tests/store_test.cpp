@@ -6,12 +6,14 @@
 // any crash, and the manifest never names a file that cannot restore.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -20,14 +22,19 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "numarck/adaptive/store_backed.hpp"
+#include "numarck/codec/codec.hpp"
+#include "numarck/core/codec.hpp"
 #include "numarck/core/compressor.hpp"
 #include "numarck/io/checkpoint_file.hpp"
 #include "numarck/io/distributed_checkpoint.hpp"
 #include "numarck/io/durable_file.hpp"
+#include "numarck/lossless/fpc.hpp"
 #include "numarck/store/checkpoint_store.hpp"
+#include "numarck/util/byte_stream.hpp"
 #include "numarck/util/expect.hpp"
 
 namespace fs = std::filesystem;
@@ -710,5 +717,186 @@ TEST(Store, AdaptiveCheckpointerWritesThroughTheStore) {
       EXPECT_NEAR(got[j], want[j],
                   2.0 * aopts.codec.error_bound * want[j] + 1e-9);
     }
+  }
+}
+
+// ---------------------------------------------------------- forged records --
+// Records whose CRC is valid but whose payload is structurally broken. The
+// chain-replay restore paths read records CRC-checked only and leave the
+// structural checks to Codec::decode, so each forgery must still be rejected
+// there with ContractViolation — by RestartEngine, by the store's get and
+// get_variable — and by numarck-inspect, which runs the load-time
+// validation. Each container holds a valid FPC full record at iteration 0
+// and the forged record at iteration 1.
+
+namespace {
+
+constexpr std::size_t kForgedPoints = 4096;
+
+/// A field whose change ratios are dominated by one bin, so the rANS index
+/// coder wins under Postpass::all().
+std::pair<std::vector<double>, std::vector<double>> skewed_pair() {
+  std::vector<double> prev(kForgedPoints), curr(kForgedPoints);
+  for (std::size_t j = 0; j < kForgedPoints; ++j) {
+    prev[j] = 1.0 + 0.5 * std::sin(0.01 * static_cast<double>(j));
+    const double ratio = j % 50 == 0 ? 0.3 + 0.001 * static_cast<double>(j % 7)
+                                     : 0.0002 * std::cos(static_cast<double>(j));
+    curr[j] = prev[j] * (1.0 + ratio);
+  }
+  return {prev, curr};
+}
+
+nk::CompressedStep step_of(std::uint8_t codec_id, bool is_full,
+                           std::vector<std::uint8_t> payload) {
+  nk::CompressedStep s;
+  s.codec_id = codec_id;
+  s.is_full = is_full;
+  s.payload = std::move(payload);
+  return s;
+}
+
+std::vector<std::uint8_t> numarck_delta(const nk::Postpass& postpass) {
+  const auto [prev, curr] = skewed_pair();
+  nk::Options opts;
+  opts.index_bits = 8;
+  return nk::encode_iteration(prev, curr, opts).serialize(postpass);
+}
+
+/// NUMARCK delta whose header claims a 17-bit index width (max is 16).
+nk::CompressedStep forge_numarck_index_width() {
+  auto bytes = numarck_delta(nk::Postpass::none());
+  bytes[4] = 17;  // magic u32 | index_bits u8
+  return step_of(numarck::codec::kNumarckId, false, std::move(bytes));
+}
+
+/// NUMARCK delta whose rANS-coded index stream lost its second half (the
+/// stream's length prefix agrees, so only the rANS frame checks catch it).
+nk::CompressedStep forge_numarck_truncated_rans() {
+  const auto bytes = numarck_delta(nk::Postpass::all());
+  numarck::util::ByteReader r(bytes);
+  numarck::util::ByteWriter w;
+  w.put_u32(r.get_u32());                   // magic
+  w.put_u8(r.get_u8());                     // index_bits
+  w.put_u8(r.get_u8());                     // strategy
+  w.put_u8(r.get_u8());                     // predictor
+  const std::uint8_t flags = r.get_u8();
+  EXPECT_TRUE(flags & 0x08) << "fixture did not select the rANS index coder";
+  w.put_u8(flags);
+  w.put_f64(r.get_f64());                   // error bound
+  w.put_varint(r.get_varint());             // point count
+  w.put_vector(r.get_vector<double>());     // centers
+  w.put_vector(r.get_vector<std::uint8_t>());  // ζ stream
+  auto idx = r.get_vector<std::uint8_t>();
+  idx.resize(idx.size() / 2);
+  w.put_vector(idx);
+  w.put_bytes(bytes.data() + r.position(), r.remaining());
+  return step_of(numarck::codec::kNumarckId, false, w.take());
+}
+
+/// FPC full record whose residual bytes stop short of what its header codes.
+nk::CompressedStep forge_fpc_residual_overrun() {
+  const auto bytes = numarck::lossless::fpc_compress(skewed_pair().second);
+  numarck::util::ByteReader r(bytes);
+  numarck::util::ByteWriter w;
+  w.put_u32(r.get_u32());  // magic
+  w.put_u8(r.get_u8());    // table log2
+  w.put_varint(r.get_varint());  // count
+  const auto header = r.get_vector<std::uint8_t>();
+  w.put_vector(header);
+  auto residual = r.get_vector<std::uint8_t>();
+  residual.resize(residual.size() / 2);
+  w.put_vector(residual);
+  return step_of(numarck::codec::kFpcId, true, w.take());
+}
+
+/// isabela record whose single patch targets index == point count.
+nk::CompressedStep forge_isabela_patch_past_end() {
+  nk::Options opts;
+  const auto good = numarck::codec::require(numarck::codec::kIsabelaId)
+                        .encode(skewed_pair().second, {}, {}, opts);
+  numarck::util::ByteReader r(good.payload);
+  const auto inner = r.get_vector<std::uint8_t>();
+  numarck::util::ByteWriter w;
+  w.put_vector(inner);
+  w.put_f64(r.get_f64());         // bound
+  w.put_varint(1);                // one patch ...
+  w.put_varint(kForgedPoints);    // ... at the first index past the end
+  w.put_f64(0.0);
+  return step_of(numarck::codec::kIsabelaId, false, w.take());
+}
+
+struct Forgery {
+  const char* name;
+  nk::CompressedStep (*forge)();
+  const char* reason;  ///< expected in the ContractViolation message
+};
+
+constexpr Forgery kForgeries[] = {
+    {"numarck_index_width_17", forge_numarck_index_width, "bad index width"},
+    {"numarck_truncated_rans", forge_numarck_truncated_rans, "rans:"},
+    {"fpc_residual_overrun", forge_fpc_residual_overrun,
+     "fpc: residual overrun"},
+    {"isabela_patch_past_end", forge_isabela_patch_past_end,
+     "patch index out of range"},
+};
+
+/// Runs `fn`, which must throw ContractViolation naming `reason`.
+template <typename Fn>
+void expect_rejected(Fn&& fn, const char* reason) {
+  try {
+    fn();
+    ADD_FAILURE() << "forged record accepted";
+  } catch (const numarck::ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
+nk::CompressedStep valid_full() {
+  return nk::CompressedStep::full_from(skewed_pair().first);
+}
+
+}  // namespace
+
+TEST(ForgedRecord, RestartEngineRejectsEveryForgery) {
+  for (const auto& f : kForgeries) {
+    SCOPED_TRACE(f.name);
+    StoreDir t(f.name);
+    fs::create_directories(t.dir);
+    const std::string path = t.dir + "/forged.ckpt";
+    {
+      nio::CheckpointWriter w(path, {kVar});
+      w.append(kVar, 0, 0.0, valid_full());
+      w.append(kVar, 1, 1.0, f.forge());
+      w.close();
+    }
+    const nio::CheckpointReader reader(path);
+    // The CRC is intact: the raw read succeeds, the structural check fails.
+    EXPECT_NO_THROW((void)reader.read(kVar, 1));
+    expect_rejected([&] { (void)reader.load(kVar, 1); }, f.reason);
+    const nio::RestartEngine engine(reader);
+    EXPECT_EQ(engine.reconstruct_variable(kVar, 0), skewed_pair().first);
+    expect_rejected([&] { (void)engine.reconstruct_variable(kVar, 1); },
+                    f.reason);
+#ifdef NUMARCK_INSPECT_BIN
+    const std::string cmd =
+        std::string(NUMARCK_INSPECT_BIN) + " " + path + " >/dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_NE(WEXITSTATUS(status), 0);
+#endif
+  }
+}
+
+TEST(ForgedRecord, StoreGetRejectsEveryForgery) {
+  for (const auto& f : kForgeries) {
+    SCOPED_TRACE(f.name);
+    StoreDir t(f.name);
+    ns::CheckpointStore s(t.dir, {kVar});
+    s.put(0, 0.0, {{kVar, valid_full()}});
+    s.put(1, 1.0, {{kVar, f.forge()}});
+    EXPECT_EQ(s.get_variable(kVar, 0), skewed_pair().first);
+    expect_rejected([&] { (void)s.get(1); }, f.reason);
+    expect_rejected([&] { (void)s.get_variable(kVar, 1); }, f.reason);
   }
 }
