@@ -27,18 +27,26 @@ BSplineCompressed BSplineCompressed::deserialize(
   BSplineCompressed out;
   out.point_count = r.get_varint();
   NUMARCK_EXPECT(out.point_count >= 8, "bspline: too few points");
+  NUMARCK_EXPECT(out.point_count <= util::kDefaultMaxPointCount,
+                 "bspline: point count out of range");
   out.coefficients = r.get_vector<double>();
   NUMARCK_EXPECT(out.coefficients.size() >= 4 &&
                      out.coefficients.size() <= out.point_count,
                  "bspline: coefficient count out of range");
+  NUMARCK_EXPECT(out.point_count / kBsplineMaxPointsPerCoefficient <=
+                     out.coefficients.size(),
+                 "bspline: too many points per coefficient");
   NUMARCK_EXPECT(r.at_end(), "bspline: trailing bytes");
   return out;
 }
 
 BSplineCompressor::BSplineCompressor(double coeff_fraction)
     : frac_(coeff_fraction) {
-  NUMARCK_EXPECT(coeff_fraction > 0.0 && coeff_fraction <= 1.0,
-                 "coefficient fraction must be in (0,1]");
+  NUMARCK_EXPECT(coeff_fraction >= 1.0 / static_cast<double>(
+                                         kBsplineMaxPointsPerCoefficient) &&
+                     coeff_fraction <= 1.0,
+                 "coefficient fraction must be in "
+                 "[1/kBsplineMaxPointsPerCoefficient, 1]");
 }
 
 BSplineCompressed BSplineCompressor::compress(std::span<const double> data) const {

@@ -12,13 +12,21 @@
 
 namespace numarck::baselines {
 
+/// Most points one control point may stand for: the compressor keeps at
+/// least floor(n / kBsplineMaxPointsPerCoefficient) coefficients, and a
+/// record that declares more points than that fails to deserialize. It ties
+/// the size of the decoded series to the record's size.
+inline constexpr std::size_t kBsplineMaxPointsPerCoefficient = 1024;
+
 struct BSplineCompressed {
   std::vector<double> coefficients;
   std::size_t point_count = 0;
 
   /// Wire form ("BSP1", docs/FORMAT.md §7): point count + coefficient
   /// vector. deserialize() checks the coefficient count against the
-  /// remaining bytes before allocating.
+  /// remaining bytes before allocating, and the point count against
+  /// util::kDefaultMaxPointCount and kBsplineMaxPointsPerCoefficient, so a
+  /// forged count cannot size the decoded series.
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   static BSplineCompressed deserialize(std::span<const std::uint8_t> bytes);
 
@@ -35,7 +43,8 @@ struct BSplineCompressed {
 
 class BSplineCompressor {
  public:
-  /// `coeff_fraction` = P_S / n (paper uses 0.8).
+  /// `coeff_fraction` = P_S / n (paper uses 0.8), in
+  /// [1 / kBsplineMaxPointsPerCoefficient, 1].
   explicit BSplineCompressor(double coeff_fraction = 0.8);
 
   [[nodiscard]] BSplineCompressed compress(std::span<const double> data) const;

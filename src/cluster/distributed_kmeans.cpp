@@ -60,22 +60,7 @@ KMeansResult distributed_histogram_lloyd(mpisim::Communicator& comm,
                                      std::size_t{1} << 18);
   // Local fold. Ranks with no data still contribute a zero histogram so the
   // allreduce stays collective.
-  WeightedHistogram h;
-  h.lo = lo;
-  h.hi = hi;
-  h.width = (hi - lo) / static_cast<double>(bins);
-  h.count.assign(bins, 0.0);
-  h.sum.assign(bins, 0.0);
-  h.sumsq.assign(bins, 0.0);
-  const double inv_width = static_cast<double>(bins) / (hi - lo);
-  for (double x : local) {
-    const double est = (x - lo) * inv_width;
-    const std::size_t b =
-        est <= 0.0 ? 0 : std::min(bins - 1, static_cast<std::size_t>(est));
-    h.count[b] += 1.0;
-    h.sum[b] += x;
-    h.sumsq[b] += x * x;
-  }
+  WeightedHistogram h = weighted_histogram(local, bins, lo, hi);
   // One collective: [count | sum | sumsq].
   std::vector<double> packed;
   packed.reserve(3 * bins);

@@ -249,8 +249,260 @@ std::size_t resolve_histogram_bins(const KMeansOptions& opts) {
                                std::size_t{1} << 18);
 }
 
-/// Histogram-compressed engine: fold the data into a fine weighted histogram
-/// in one parallel O(n) pass, then run weighted Lloyd over the H bins.
+/// The populated bins of an equal-width grid, ascending by grid index, with
+/// their moments — everything the histogram Lloyd reads. An empty bin only
+/// adds +0.0 to a total or prefix sum (no accumulator here can hold -0.0),
+/// so leaving it out changes no bit of the result.
+struct PopulatedBins {
+  double lo = 0.0;       ///< left edge of grid bin 0
+  double width = 0.0;    ///< grid bin width
+  std::size_t bins = 0;  ///< grid size H (populated or not)
+  std::vector<std::uint32_t> bin;  ///< grid index per listed bin, ascending
+  std::vector<double> count, sum, sumsq;
+
+  [[nodiscard]] std::size_t size() const noexcept { return bin.size(); }
+  /// Same expression as WeightedHistogram::center.
+  [[nodiscard]] double center(std::size_t b) const noexcept {
+    return lo + (static_cast<double>(b) + 0.5) * width;
+  }
+  void push(std::size_t b, double cnt, double s, double q) {
+    bin.push_back(static_cast<std::uint32_t>(b));
+    count.push_back(cnt);
+    sum.push_back(s);
+    sumsq.push_back(q);
+  }
+};
+
+/// Folds xs onto `bins` equal-width bins over [lo, hi] (values outside clamp
+/// to the edge bins) and lists the populated ones. O(n + H): a stable
+/// counting sort by bin index (one offsets array of H + 1 entries) groups
+/// each bin's points in index order; a bin's Σx and Σx² then accumulate per
+/// chunk of a ChunkPlan pinned to the machine, not the pool, and the chunk
+/// partials merge in chunk order, so every per-bin sum is identical for
+/// every thread count.
+PopulatedBins fold_populated(std::span<const double> xs, std::size_t bins,
+                             double lo, double hi, ThreadPool& pool) {
+  NUMARCK_EXPECT(bins >= 1, "weighted histogram needs at least one bin");
+  NUMARCK_EXPECT(lo < hi, "weighted histogram: range must be non-degenerate");
+  const std::size_t n = xs.size();
+  NUMARCK_EXPECT(n < std::numeric_limits<std::uint32_t>::max() &&
+                     bins < std::numeric_limits<std::uint32_t>::max(),
+                 "weighted histogram: point or bin count exceeds 32-bit "
+                 "offsets");
+  PopulatedBins p;
+  p.lo = lo;
+  p.width = (hi - lo) / static_cast<double>(bins);
+  p.bins = bins;
+  const double inv_width = static_cast<double>(bins) / (hi - lo);
+
+  std::vector<std::uint32_t> bin_of(n);
+  numarck::util::parallel_for_chunked(
+      pool, 0, n, [&](std::size_t i0, std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i) {
+          const double est = (xs[i] - lo) * inv_width;
+          bin_of[i] = static_cast<std::uint32_t>(
+              est <= 0.0 ? 0
+                         : std::min(bins - 1, static_cast<std::size_t>(est)));
+        }
+      });
+  std::vector<std::uint32_t> offset(bins + 1, 0);
+  for (const std::uint32_t b : bin_of) ++offset[b + 1];
+  std::partial_sum(offset.begin(), offset.end(), offset.begin());
+  std::vector<std::uint32_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    order[offset[bin_of[i]]++] = static_cast<std::uint32_t>(i);
+  }
+
+  const numarck::util::ChunkPlan plan(
+      0, n,
+      numarck::util::effective_workers(std::thread::hardware_concurrency() +
+                                       1));
+  for (std::size_t j = 0; j < n;) {
+    const std::uint32_t b = bin_of[order[j]];
+    double cnt = 0.0, sum = 0.0, sumsq = 0.0;
+    while (j < n && bin_of[order[j]] == b) {
+      // One chunk's share of the bin, summed in point order.
+      const std::size_t chunk_end = (order[j] / plan.step + 1) * plan.step;
+      double s = 0.0, q = 0.0;
+      for (; j < n && bin_of[order[j]] == b && order[j] < chunk_end; ++j) {
+        const double x = xs[order[j]];
+        cnt += 1.0;
+        s += x;
+        q += x * x;
+      }
+      sum += s;
+      sumsq += q;
+    }
+    p.push(b, cnt, sum, sumsq);
+  }
+  return p;
+}
+
+/// Density-quantile seeds from the bin masses — the same "prior knowledge
+/// from the equal-width histogram" placement init_centroids uses, read off
+/// the (finer) Lloyd histogram instead of a separate pass. The walk visits
+/// populated bins only: an empty bin never holds a quantile, and the mass
+/// before the end of the last populated bin is the total, above every
+/// target, so the walk never runs past it.
+std::vector<double> seeds_from_bins(const PopulatedBins& p, std::size_t k,
+                                    double total) {
+  std::vector<double> c;
+  c.reserve(k);
+  std::size_t j = 0;
+  double cum = 0.0;  // mass strictly before bin j
+  for (std::size_t i = 0; i < k; ++i) {
+    const double target =
+        total * (static_cast<double>(i) + 0.5) / static_cast<double>(k);
+    while (j + 1 < p.size() && cum + p.count[j] < target) {
+      cum += p.count[j];
+      ++j;
+    }
+    const double frac = std::clamp((target - cum) / p.count[j], 0.0, 1.0);
+    c.push_back(p.lo + (static_cast<double>(p.bin[j]) + frac) * p.width);
+  }
+  std::sort(c.begin(), c.end());
+  c.erase(std::unique(c.begin(), c.end()), c.end());
+  return c;
+}
+
+/// First grid bin whose center is strictly above `mid` (bins with center
+/// <= mid belong to the lower cluster, matching nearest_centroid's
+/// tie-to-lower rule). The affine guess is within one slot; the scan repairs
+/// FP residue.
+std::size_t boundary_bin(const PopulatedBins& p, double mid) {
+  const double est = (mid - p.lo) / p.width + 0.5;
+  std::size_t cut =
+      est <= 0.0 ? 0 : std::min(p.bins, static_cast<std::size_t>(est));
+  while (cut > 0 && p.center(cut - 1) > mid) --cut;
+  while (cut < p.bins && p.center(cut) <= mid) ++cut;
+  return cut;
+}
+
+/// The populated bin center farthest from its nearest centroid, as
+/// (squared distance, center); the distance is 0 when every center sits on a
+/// centroid. Centers ascend with the list, so the nearest centroid comes
+/// from one monotone walk under nearest_centroid's rule (first centroid
+/// >= x, ties to the lower): O(m + k).
+std::pair<double, double> farthest_center(const PopulatedBins& p,
+                                          std::span<const double> centroids) {
+  const std::size_t k = centroids.size();
+  double far_d = 0.0, far_v = 0.0;
+  std::size_t hi = 0;  // first centroid >= x
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    const double x = p.center(p.bin[j]);
+    while (hi < k && centroids[hi] < x) ++hi;
+    const std::size_t c =
+        hi == 0   ? 0
+        : hi == k ? k - 1
+                  : ((x - centroids[hi - 1]) <= (centroids[hi] - x) ? hi - 1
+                                                                     : hi);
+    const double d = x - centroids[c];
+    if (d * d > far_d) {
+      far_d = d * d;
+      far_v = x;
+    }
+  }
+  return {far_d, far_v};
+}
+
+/// Weighted Lloyd over the populated bins. Prefix sums over the m listed
+/// bins make a cluster's statistics O(1) differences; each round places k
+/// cuts in grid space (boundary_bin) and maps them to list positions by
+/// binary search, O(k log m), plus O(m + k) for the reseed walk in rounds
+/// where a cluster is empty.
+KMeansResult populated_lloyd(const PopulatedBins& p,
+                             const KMeansOptions& opts) {
+  KMeansResult r;
+  const std::size_t m = p.size();
+  double total = 0.0;
+  for (double c : p.count) total += c;
+  if (total <= 0.0) return r;
+
+  std::vector<double> pc(m + 1, 0.0), ps(m + 1, 0.0), pq(m + 1, 0.0);
+  for (std::size_t j = 0; j < m; ++j) {
+    pc[j + 1] = pc[j] + p.count[j];
+    ps[j + 1] = ps[j] + p.sum[j];
+    pq[j + 1] = pq[j] + p.sumsq[j];
+  }
+
+  std::vector<double> centroids = seeds_from_bins(p, opts.k, total);
+  if (centroids.empty()) return r;
+
+  std::vector<std::size_t> cuts(centroids.size() + 1);
+  const auto place_cuts = [&](const std::vector<double>& cents) {
+    const std::size_t k = cents.size();
+    cuts[0] = 0;
+    cuts[k] = m;
+    std::size_t grid_cut = 0;
+    for (std::size_t c = 1; c < k; ++c) {
+      const double mid = 0.5 * (cents[c - 1] + cents[c]);
+      grid_cut = std::max(boundary_bin(p, mid), grid_cut);
+      const auto from =
+          p.bin.begin() + static_cast<std::ptrdiff_t>(cuts[c - 1]);
+      cuts[c] = static_cast<std::size_t>(
+          std::lower_bound(from, p.bin.end(), grid_cut) - p.bin.begin());
+    }
+  };
+
+  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
+    ++r.iterations;
+    place_cuts(centroids);
+    const std::size_t k = centroids.size();
+    std::vector<double> next = centroids;
+    bool reseeded = false;
+    bool far_known = false;
+    std::pair<double, double> far{0.0, 0.0};
+    double max_shift = 0.0;
+    for (std::size_t c = 0; c < k; ++c) {
+      const double cnt = pc[cuts[c + 1]] - pc[cuts[c]];
+      if (cnt > 0.0) {
+        next[c] = (ps[cuts[c + 1]] - ps[cuts[c]]) / cnt;
+      } else if (!reseeded) {
+        // Reseed to the populated bin center farthest from its nearest
+        // centroid (the farthest-point repair at bin granularity). The walk
+        // depends only on this round's centroids, so it runs at most once.
+        if (!far_known) {
+          far = farthest_center(p, centroids);
+          far_known = true;
+        }
+        if (far.first > 0.0) {
+          next[c] = far.second;
+          reseeded = true;
+        }
+      }
+      max_shift = std::max(max_shift, std::abs(next[c] - centroids[c]));
+    }
+    std::sort(next.begin(), next.end());
+    centroids.swap(next);
+    if (!reseeded && max_shift <= opts.tolerance) {
+      r.converged = true;
+      break;
+    }
+  }
+
+  // Final statistics straight from the prefix sums — no per-point pass. The
+  // counts are exact (every point lives in exactly one bin) and the inertia
+  // uses the true per-bin second moments, so it is exact for the
+  // bin-granular partition (see the header's resolution bound).
+  place_cuts(centroids);
+  for (std::size_t c = 0; c < centroids.size(); ++c) {
+    const double cnt = pc[cuts[c + 1]] - pc[cuts[c]];
+    if (cnt <= 0.0) continue;
+    const double sum = ps[cuts[c + 1]] - ps[cuts[c]];
+    const double sq = pq[cuts[c + 1]] - pq[cuts[c]];
+    const double cent = centroids[c];
+    r.inertia += sq - 2.0 * cent * sum + cent * cent * cnt;
+    r.centroids.push_back(cent);
+    r.counts.push_back(static_cast<std::uint64_t>(cnt + 0.5));
+  }
+  // Σx² - 2cΣx + c²n can land a hair below zero in FP for razor-thin
+  // clusters; clamp so callers can rely on inertia >= 0.
+  r.inertia = std::max(r.inertia, 0.0);
+  return r;
+}
+
+/// Histogram-compressed engine: fold the data onto a fine equal-width grid
+/// in one O(n + H) pass, then run weighted Lloyd over the populated bins.
 KMeansResult histogram_lloyd(std::span<const double> xs,
                              const KMeansOptions& opts, ThreadPool& pool) {
   using P = std::pair<double, double>;
@@ -278,9 +530,10 @@ KMeansResult histogram_lloyd(std::span<const double> xs,
     r.converged = true;
     return r;
   }
-  const WeightedHistogram h = weighted_histogram(
-      xs, resolve_histogram_bins(opts), mm.first, mm.second, &pool);
-  return weighted_histogram_lloyd(h, opts);
+  return populated_lloyd(
+      fold_populated(xs, resolve_histogram_bins(opts), mm.first, mm.second,
+                     pool),
+      opts);
 }
 
 }  // namespace
@@ -329,193 +582,39 @@ KMeansResult kmeans1d(std::span<const double> xs, const KMeansOptions& opts) {
 WeightedHistogram weighted_histogram(std::span<const double> xs,
                                      std::size_t bins, double lo, double hi,
                                      numarck::util::ThreadPool* pool) {
-  NUMARCK_EXPECT(bins >= 1, "weighted histogram needs at least one bin");
-  NUMARCK_EXPECT(lo < hi, "weighted histogram: range must be non-degenerate");
-  auto& tp = pool_or_global(pool);
+  const PopulatedBins p =
+      fold_populated(xs, bins, lo, hi, pool_or_global(pool));
   WeightedHistogram h;
   h.lo = lo;
   h.hi = hi;
-  h.width = (hi - lo) / static_cast<double>(bins);
-  const double inv_width = static_cast<double>(bins) / (hi - lo);
-
-  struct Moments {
-    std::vector<double> cnt, sum, sumsq;
-    explicit Moments(std::size_t b) : cnt(b, 0.0), sum(b, 0.0), sumsq(b, 0.0) {}
-  };
-  // The chunk plan must NOT depend on the pool size: per-bin Σx / Σx² are
-  // floating-point sums whose value depends on the chunk boundaries, and the
-  // engine promises identical centroids for every thread count. Planning for
-  // the machine's full concurrency (whatever pool runs the chunks) pins the
-  // decomposition; per-chunk partials are then merged in chunk order.
-  const numarck::util::ChunkPlan plan(
-      0, xs.size(),
-      numarck::util::effective_workers(std::thread::hardware_concurrency() + 1));
-  std::vector<Moments> partials(plan.chunks, Moments(bins));
-  numarck::util::parallel_chunks(
-      tp, plan, [&](std::size_t c, std::size_t i0, std::size_t i1) {
-        Moments& m = partials[c];
-        for (std::size_t i = i0; i < i1; ++i) {
-          const double x = xs[i];
-          const double est = (x - lo) * inv_width;
-          const std::size_t b =
-              est <= 0.0 ? 0
-                         : std::min(bins - 1, static_cast<std::size_t>(est));
-          m.cnt[b] += 1.0;
-          m.sum[b] += x;
-          m.sumsq[b] += x * x;
-        }
-      });
+  h.width = p.width;
   h.count.assign(bins, 0.0);
   h.sum.assign(bins, 0.0);
   h.sumsq.assign(bins, 0.0);
-  for (const Moments& m : partials) {
-    for (std::size_t b = 0; b < bins; ++b) {
-      h.count[b] += m.cnt[b];
-      h.sum[b] += m.sum[b];
-      h.sumsq[b] += m.sumsq[b];
-    }
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    h.count[p.bin[j]] = p.count[j];
+    h.sum[p.bin[j]] = p.sum[j];
+    h.sumsq[p.bin[j]] = p.sumsq[j];
   }
   return h;
 }
 
-namespace {
-
-/// Density-quantile seeds from the histogram masses — the same "prior
-/// knowledge from the equal-width histogram" placement init_centroids uses,
-/// read off the (finer) Lloyd histogram instead of a separate pass.
-std::vector<double> seeds_from_histogram(const WeightedHistogram& h,
-                                         std::size_t k, double total) {
-  std::vector<double> c;
-  c.reserve(k);
-  std::size_t bin = 0;
-  double cum = 0.0;  // mass strictly before current bin
-  for (std::size_t i = 0; i < k; ++i) {
-    const double target =
-        total * (static_cast<double>(i) + 0.5) / static_cast<double>(k);
-    while (bin + 1 < h.bins() && cum + h.count[bin] < target) {
-      cum += h.count[bin];
-      ++bin;
-    }
-    const double in_bin = h.count[bin];
-    const double frac =
-        in_bin > 0.0 ? std::clamp((target - cum) / in_bin, 0.0, 1.0) : 0.5;
-    c.push_back(h.lo + (static_cast<double>(bin) + frac) * h.width);
-  }
-  std::sort(c.begin(), c.end());
-  c.erase(std::unique(c.begin(), c.end()), c.end());
-  return c;
-}
-
-/// First bin whose center is strictly above `mid` (bins with center <= mid
-/// belong to the lower cluster, matching nearest_centroid's tie-to-lower
-/// rule). The affine guess is within one slot; the scan repairs FP residue.
-std::size_t boundary_bin(const WeightedHistogram& h, double mid) {
-  const std::size_t bins = h.bins();
-  const double est = (mid - h.lo) / h.width + 0.5;
-  std::size_t cut =
-      est <= 0.0 ? 0
-                 : std::min(bins, static_cast<std::size_t>(est));
-  while (cut > 0 && h.center(cut - 1) > mid) --cut;
-  while (cut < bins && h.center(cut) <= mid) ++cut;
-  return cut;
-}
-
-}  // namespace
-
 KMeansResult weighted_histogram_lloyd(const WeightedHistogram& h,
                                       const KMeansOptions& opts) {
   NUMARCK_EXPECT(opts.k >= 1, "k must be >= 1");
-  KMeansResult r;
   const std::size_t bins = h.bins();
   NUMARCK_EXPECT(h.sum.size() == bins && h.sumsq.size() == bins,
                  "weighted histogram: moment arrays disagree on bin count");
-  double total = 0.0;
-  for (double c : h.count) total += c;
-  if (total <= 0.0) return r;
-
-  // Inclusive prefix sums of the three moments: cluster [b0, b1) statistics
-  // are O(1) differences, so one Lloyd step is O(k) after this O(H) setup.
-  std::vector<double> pc(bins + 1, 0.0), ps(bins + 1, 0.0), pq(bins + 1, 0.0);
+  NUMARCK_EXPECT(bins < std::numeric_limits<std::uint32_t>::max(),
+                 "weighted histogram: bin count exceeds 32-bit indices");
+  PopulatedBins p;
+  p.lo = h.lo;
+  p.width = h.width;
+  p.bins = bins;
   for (std::size_t b = 0; b < bins; ++b) {
-    pc[b + 1] = pc[b] + h.count[b];
-    ps[b + 1] = ps[b] + h.sum[b];
-    pq[b + 1] = pq[b] + h.sumsq[b];
+    if (h.count[b] > 0.0) p.push(b, h.count[b], h.sum[b], h.sumsq[b]);
   }
-
-  std::vector<double> centroids = seeds_from_histogram(h, opts.k, total);
-  if (centroids.empty()) return r;
-
-  std::vector<std::size_t> cuts(centroids.size() + 1);
-  const auto place_cuts = [&](const std::vector<double>& cents) {
-    const std::size_t k = cents.size();
-    cuts[0] = 0;
-    cuts[k] = bins;
-    for (std::size_t c = 1; c < k; ++c) {
-      const double mid = 0.5 * (cents[c - 1] + cents[c]);
-      cuts[c] = std::max(boundary_bin(h, mid), cuts[c - 1]);
-    }
-  };
-
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    ++r.iterations;
-    place_cuts(centroids);
-    const std::size_t k = centroids.size();
-    std::vector<double> next = centroids;
-    bool reseeded = false;
-    double max_shift = 0.0;
-    for (std::size_t c = 0; c < k; ++c) {
-      const double cnt = pc[cuts[c + 1]] - pc[cuts[c]];
-      if (cnt > 0.0) {
-        next[c] = (ps[cuts[c + 1]] - ps[cuts[c]]) / cnt;
-      } else if (!reseeded) {
-        // Reseed to the populated bin center farthest from its nearest
-        // centroid (the farthest-point repair at bin granularity). Runs only
-        // when a cluster empties, so the O(H log k) scan stays off the
-        // steady-state path.
-        double far_d = 0.0, far_v = 0.0;
-        for (std::size_t b = 0; b < bins; ++b) {
-          if (h.count[b] <= 0.0) continue;
-          const double x = h.center(b);
-          const double d = x - centroids[nearest_centroid(centroids, x)];
-          if (d * d > far_d) {
-            far_d = d * d;
-            far_v = x;
-          }
-        }
-        if (far_d > 0.0) {
-          next[c] = far_v;
-          reseeded = true;
-        }
-      }
-      max_shift = std::max(max_shift, std::abs(next[c] - centroids[c]));
-    }
-    std::sort(next.begin(), next.end());
-    centroids.swap(next);
-    if (!reseeded && max_shift <= opts.tolerance) {
-      r.converged = true;
-      break;
-    }
-  }
-
-  // Final statistics straight from the prefix sums — no per-point pass. The
-  // counts are exact (every point lives in exactly one bin) and the inertia
-  // uses the true per-bin second moments, so it is exact for the
-  // bin-granular partition (see the header's resolution bound).
-  place_cuts(centroids);
-  for (std::size_t c = 0; c < centroids.size(); ++c) {
-    const double cnt = pc[cuts[c + 1]] - pc[cuts[c]];
-    if (cnt <= 0.0) continue;
-    const double sum = ps[cuts[c + 1]] - ps[cuts[c]];
-    const double sq = pq[cuts[c + 1]] - pq[cuts[c]];
-    const double cent = centroids[c];
-    r.inertia += sq - 2.0 * cent * sum + cent * cent * cnt;
-    r.centroids.push_back(cent);
-    r.counts.push_back(static_cast<std::uint64_t>(cnt + 0.5));
-  }
-  // Σx² - 2cΣx + c²n can land a hair below zero in FP for razor-thin
-  // clusters; clamp so callers can rely on inertia >= 0.
-  r.inertia = std::max(r.inertia, 0.0);
-  return r;
+  return populated_lloyd(p, opts);
 }
 
 }  // namespace numarck::cluster

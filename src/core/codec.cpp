@@ -60,9 +60,10 @@ using ClassifyStats = arch::ClassifySpanStats;
 
 /// Pass A1: model-free classification. Labels every point as index 0
 /// (small-value or below-threshold), exact (undefined ratio) or needs-bin;
-/// the needs-bin points are exactly the learn-set candidates. Each chunk
-/// runs the fused change-ratio + classify kernel; partial stats combine in
-/// chunk order, so the sums match the scalar sweep bit for bit.
+/// the needs-bin points are exactly the learn-set candidates. Each block
+/// runs the fused change-ratio + classify kernel; the stats reduce over
+/// util::block_reduce's fixed blocks, so err_sum — stored in the record as
+/// mean_ratio_error — rounds the same at every pool size.
 ClassifyStats classify_points(std::span<const double> previous,
                               std::span<const double> current,
                               const Options& opts, util::ThreadPool& pool,
@@ -72,7 +73,7 @@ ClassifyStats classify_points(std::span<const double> previous,
   const double E = opts.error_bound;
   const double small = opts.resolved_small_value_threshold();
   const auto& kernels = arch::active();
-  return util::parallel_reduce<ClassifyStats>(
+  return util::block_reduce<ClassifyStats>(
       pool, 0, n, ClassifyStats{},
       [&](std::size_t i0, std::size_t i1) {
         return kernels.classify(previous.data() + i0, current.data() + i0,
@@ -155,6 +156,7 @@ constexpr std::size_t kAssignBlock = 128;
 /// same IEEE divide either way (previous != 0 is guaranteed by pass A1), so
 /// the path choice cannot change a single bit of output. Lookup and bound
 /// check stay scalar per point — BinLookup's repair step is already O(1).
+/// The stats reduce over the same fixed blocks as pass A1.
 AssignStats assign_bins(std::span<const double> previous,
                         std::span<const double> current, const BinModel& model,
                         double error_bound, util::ThreadPool& pool,
@@ -162,7 +164,7 @@ AssignStats assign_bins(std::span<const double> previous,
   const BinLookup lookup(model);
   const bool have_model = !model.empty();
   const auto& kernels = arch::active();
-  return util::parallel_reduce<AssignStats>(
+  return util::block_reduce<AssignStats>(
       pool, 0, labels.size(), AssignStats{},
       [&](std::size_t i0, std::size_t i1) {
         AssignStats s;

@@ -10,6 +10,7 @@
 // docs/FORMAT.md §7.
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "numarck/baselines/bspline_compressor.hpp"
 #include "numarck/baselines/isabela.hpp"
@@ -18,6 +19,7 @@
 #include "numarck/lossless/fpc.hpp"
 #include "numarck/util/byte_stream.hpp"
 #include "numarck/util/expect.hpp"
+#include "numarck/util/parallel_for.hpp"
 
 namespace numarck::codec {
 
@@ -156,7 +158,8 @@ class FpcCodec final : public Codec {
 
 std::vector<std::uint8_t> patch_and_wrap(
     const std::vector<std::uint8_t>& inner, std::span<const double> current,
-    std::vector<double>& recon, double bound, core::IterationStats& stats) {
+    std::vector<double>& recon, double bound, util::ThreadPool& pool,
+    core::IterationStats& stats) {
   NUMARCK_EXPECT(recon.size() == current.size(),
                  "spatial codec: reconstruction size mismatch");
   std::vector<std::size_t> patched;
@@ -179,15 +182,25 @@ std::vector<std::uint8_t> patch_and_wrap(
   stats.total_points = current.size();
   stats.exact_out_of_bound = patched.size();
   stats.binned = current.size() - patched.size();
-  double sum = 0.0, worst = 0.0;
-  for (std::size_t j = 0; j < current.size(); ++j) {
-    const double err = point_error(recon[j], current[j]);
-    sum += err;
-    worst = std::max(worst, err);
-  }
+  // Same fixed-block reduction as the NUMARCK codec's stats.
+  using SumMax = std::pair<double, double>;
+  const SumMax err = util::block_reduce<SumMax>(
+      pool, 0, current.size(), SumMax{0.0, 0.0},
+      [&](std::size_t i0, std::size_t i1) {
+        SumMax s{0.0, 0.0};
+        for (std::size_t j = i0; j < i1; ++j) {
+          const double e = point_error(recon[j], current[j]);
+          s.first += e;
+          s.second = std::max(s.second, e);
+        }
+        return s;
+      },
+      [](SumMax a, const SumMax& b) {
+        return SumMax{a.first + b.first, std::max(a.second, b.second)};
+      });
   stats.mean_ratio_error =
-      current.empty() ? 0.0 : sum / static_cast<double>(current.size());
-  stats.max_ratio_error = worst;
+      current.empty() ? 0.0 : err.first / static_cast<double>(current.size());
+  stats.max_ratio_error = err.second;
   return w.take();
 }
 
@@ -244,8 +257,9 @@ class SpatialCodec : public Codec {
     Compressed model = fit(current, opts);
     std::vector<double> recon = evaluate(model);
     EncodeResult res;
-    res.payload = patch_and_wrap(model.serialize(), current, recon,
-                                 opts.error_bound, res.stats);
+    res.payload = patch_and_wrap(
+        model.serialize(), current, recon, opts.error_bound,
+        opts.pool ? *opts.pool : util::ThreadPool::global(), res.stats);
     res.paper_ratio_pct = honest_ratio_pct(res.payload.size(), current.size());
     return res;
   }

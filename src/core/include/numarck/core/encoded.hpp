@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "numarck/core/options.hpp"
+#include "numarck/util/byte_stream.hpp"
 
 namespace numarck::core {
 
@@ -85,7 +86,8 @@ class EncodedIteration {
   /// constant field RLE+rANS-codes to a few dozen bytes at any length), so
   /// a forged count cannot be cross-checked against the record size alone;
   /// this bounds what such a forgery can make the decoder materialize.
-  static constexpr std::size_t kDefaultMaxPointCount = std::size_t{1} << 33;
+  static constexpr std::size_t kDefaultMaxPointCount =
+      util::kDefaultMaxPointCount;
 
   /// Parses a record, validating every count and stream against the bytes
   /// actually present before sizing any allocation from them. Callers that

@@ -112,8 +112,10 @@ struct Options {
   Predictor predictor = Predictor::kPrevious;
 
   /// K-means controls (only used by Strategy::kClustering). kHistogramLloyd
-  /// decouples the Lloyd cost from n (see kmeans1d.hpp); pick kSortedBoundary
-  /// to recover the exact 1-D fixpoint for reference runs.
+  /// folds the learn set in O(n + H) and runs each Lloyd round in
+  /// O(k log m) over the m populated bins, plus O(m + k) when a cluster is
+  /// empty (see kmeans1d.hpp); pick kSortedBoundary to recover the exact
+  /// 1-D fixpoint for reference runs.
   cluster::KMeansEngine kmeans_engine = cluster::KMeansEngine::kHistogramLloyd;
   std::size_t kmeans_max_iterations = 30;
 
@@ -140,7 +142,7 @@ struct Options {
   std::size_t isabela_coeffs = 30;
 
   /// B-spline backend (codec id 3): control points as a fraction of the
-  /// point count (baselines/bspline_compressor.hpp).
+  /// point count, at least 1/1024 (baselines/bspline_compressor.hpp).
   double bspline_coeff_fraction = 0.8;
 
   /// Maximum number of learned bins: 2^B - 1.

@@ -1,5 +1,6 @@
 #include "numarck/core/options.hpp"
 
+#include "numarck/baselines/bspline_compressor.hpp"
 #include "numarck/util/expect.hpp"
 
 namespace numarck::core {
@@ -47,8 +48,12 @@ void Options::validate() const {
   NUMARCK_EXPECT(isabela_window >= 16, "isabela window must be >= 16 points");
   NUMARCK_EXPECT(isabela_coeffs >= 4 && isabela_coeffs <= isabela_window,
                  "isabela coefficients must be in [4, window]");
-  NUMARCK_EXPECT(bspline_coeff_fraction > 0.0 && bspline_coeff_fraction <= 1.0,
-                 "bspline coefficient fraction must be in (0,1]");
+  constexpr double kMinBsplineFraction =
+      1.0 / static_cast<double>(baselines::kBsplineMaxPointsPerCoefficient);
+  NUMARCK_EXPECT(bspline_coeff_fraction >= kMinBsplineFraction &&
+                     bspline_coeff_fraction <= 1.0,
+                 "bspline coefficient fraction must be in "
+                 "[1/kBsplineMaxPointsPerCoefficient, 1]");
 }
 
 }  // namespace numarck::core

@@ -7,6 +7,7 @@
 #include "numarck/cluster/distributed_kmeans.hpp"
 #include "numarck/core/change_ratio.hpp"
 #include "numarck/util/expect.hpp"
+#include "numarck/util/parallel_for.hpp"
 
 namespace numarck::distributed {
 
@@ -121,20 +122,33 @@ EncodeResult encode_iteration(mpisim::Communicator& comm,
   out.local = core::encode_iteration_with_model(previous_local, current_local,
                                                 model, opts);
 
-  // Aggregate metrics (one small allreduce).
+  // Aggregate metrics (one small allreduce): [points | exact points | one
+  // error-sum slot per rank]. The counts are exact in any arrival order. A
+  // rank writes only its own error slot, so the allreduce adds nothing but
+  // zeros to it; the ranks' error sums then combine in rank order through
+  // the same fixed-block reduction as the local stats, never in the order
+  // the ranks happened to arrive.
   const auto& st = out.local.stats;
   const double n_local = static_cast<double>(st.total_points);
-  const std::vector<double> packed{
-      n_local,
-      static_cast<double>(st.exact_total()),
-      st.mean_ratio_error * n_local,
-  };
+  std::vector<double> packed(2 + static_cast<std::size_t>(comm.size()), 0.0);
+  packed[0] = n_local;
+  packed[1] = static_cast<double>(st.exact_total());
+  packed[2 + static_cast<std::size_t>(comm.rank())] =
+      st.mean_ratio_error * n_local;
   const auto agg = comm.allreduce_sum(std::span<const double>(packed));
+  const double err_sum = util::block_reduce<double>(
+      opts.pool ? *opts.pool : util::ThreadPool::global(), 2, agg.size(), 0.0,
+      [&agg](std::size_t i0, std::size_t i1) {
+        double s = 0.0;
+        for (std::size_t i = i0; i < i1; ++i) s += agg[i];
+        return s;
+      },
+      [](double a, double b) { return a + b; });
   out.global_max_error = comm.allreduce_max(st.max_ratio_error);
   out.global_points = static_cast<std::uint64_t>(agg[0] + 0.5);
   const double n = agg[0];
   out.global_gamma = n > 0 ? agg[1] / n : 0.0;
-  out.global_mean_error = n > 0 ? agg[2] / n : 0.0;
+  out.global_mean_error = n > 0 ? err_sum / n : 0.0;
 
   // Paper Eq. 3, table charged once.
   if (out.global_points > 0) {

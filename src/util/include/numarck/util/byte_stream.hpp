@@ -15,6 +15,11 @@
 
 namespace numarck::util {
 
+/// Ceiling on the point count a record may declare when the reader cannot
+/// cross-check it against a known snapshot length (core::EncodedIteration
+/// and the spatial baselines' records share it).
+inline constexpr std::size_t kDefaultMaxPointCount = std::size_t{1} << 33;
+
 class ByteWriter {
  public:
   ByteWriter() = default;

@@ -6,7 +6,8 @@
 // block until every chunk finished. parallel_reduce additionally combines
 // per-chunk partial results with a user-supplied binary op in chunk order —
 // the shared-memory analogue of MPI_Allreduce, deterministic for a fixed
-// pool size.
+// pool size. block_reduce does the same over a partition that does not
+// depend on the pool at all, for sums that end up in a stored record.
 //
 // Thread-safety contract (checked by -Wthread-safety where expressible, see
 // numarck/util/thread_annotations.hpp): these helpers take no locks of their
@@ -37,6 +38,9 @@ inline constexpr std::size_t kParallelGrainSize = 4096;
 /// snapshot) is balanced by handing each worker several smaller chunks
 /// instead of one big one.
 inline constexpr std::size_t kParallelOversubscribe = 4;
+
+/// Elements per block of block_reduce's fixed partition.
+inline constexpr std::size_t kReduceBlock = kParallelGrainSize;
 
 /// Workers a plan may actually exploit: asking for more threads than the
 /// machine has cores just multiplies scheduling overhead (the seed's
@@ -167,6 +171,30 @@ T parallel_reduce(ThreadPool& pool, std::size_t begin, std::size_t end, T init,
     }
   }
   if (err) std::rethrow_exception(err);
+  return acc;
+}
+
+/// Reduction whose result does not depend on the pool: [begin, end) splits
+/// into blocks of kReduceBlock elements counted from `begin`,
+/// `partial(i0, i1) -> T` runs once per block (the pool only decides which
+/// worker runs which blocks), and the block results combine left to right in
+/// block order. A floating-point sum therefore rounds the same at every pool
+/// size, serial included. T must be default-constructible.
+template <typename T, typename Partial, typename Combine>
+T block_reduce(ThreadPool& pool, std::size_t begin, std::size_t end, T init,
+               Partial&& partial, Combine&& combine) {
+  if (end <= begin) return init;
+  const std::size_t blocks = (end - begin + kReduceBlock - 1) / kReduceBlock;
+  std::vector<T> parts(blocks);
+  parallel_chunks(pool, ChunkPlan(0, blocks, pool.size(), 1),
+                  [&](std::size_t, std::size_t b0, std::size_t b1) {
+                    for (std::size_t b = b0; b < b1; ++b) {
+                      const std::size_t i0 = begin + b * kReduceBlock;
+                      parts[b] = partial(i0, std::min(end, i0 + kReduceBlock));
+                    }
+                  });
+  T acc = std::move(init);
+  for (T& part : parts) acc = combine(std::move(acc), std::move(part));
   return acc;
 }
 

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "numarck/baselines/bspline.hpp"
@@ -170,6 +171,46 @@ TEST(BSplineCompressor, TinyInputThrows) {
   nb::BSplineCompressor comp(0.8);
   EXPECT_THROW(comp.compress(std::vector<double>{1, 2, 3}),
                numarck::ContractViolation);
+}
+
+TEST(BSplineCompressor, SparsestAllowedFitRoundTrips) {
+  // At the smallest coefficient fraction every point count the compressor
+  // can emit passes the deserializer's points-per-coefficient rule.
+  const double frac =
+      1.0 / static_cast<double>(nb::kBsplineMaxPointsPerCoefficient);
+  nb::BSplineCompressor comp(frac);
+  for (const std::size_t n : {8u, 4100u, 6143u, 6144u, 9000u}) {
+    std::vector<double> y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      y[i] = std::sin(0.001 * static_cast<double>(i));
+    }
+    const auto c = comp.compress(y);
+    const auto back = nb::BSplineCompressed::deserialize(c.serialize());
+    EXPECT_EQ(back.point_count, n);
+    EXPECT_EQ(back.coefficients, c.coefficients);
+  }
+  EXPECT_THROW(nb::BSplineCompressor(frac / 2), numarck::ContractViolation);
+}
+
+TEST(BSplineCompressor, DeserializeRejectsForgedPointCounts) {
+  nb::BSplineCompressed c;
+  c.coefficients = {1.0, 2.0, 3.0, 4.0};
+  const auto rejects = [&c](std::size_t points, const char* reason) {
+    c.point_count = points;
+    try {
+      (void)nb::BSplineCompressed::deserialize(c.serialize());
+      ADD_FAILURE() << points << " points accepted";
+    } catch (const numarck::ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects(std::size_t{1} << 40, "point count out of range");
+  rejects(5 * nb::kBsplineMaxPointsPerCoefficient,
+          "too many points per coefficient");
+  c.point_count = 5 * nb::kBsplineMaxPointsPerCoefficient - 1;
+  EXPECT_EQ(nb::BSplineCompressed::deserialize(c.serialize()).point_count,
+            c.point_count);
 }
 
 // ---------------------------------------------------------------- ISABELA --

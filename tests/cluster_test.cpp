@@ -2,12 +2,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "numarck/cluster/histogram.hpp"
 #include "numarck/cluster/kmeans1d.hpp"
 #include "numarck/util/expect.hpp"
+#include "numarck/util/parallel_for.hpp"
 #include "numarck/util/rng.hpp"
 
 namespace nc = numarck::cluster;
@@ -415,4 +423,347 @@ TEST(KMeans, RespectsExplicitPool) {
   o.pool = &pool;
   const auto r = nc::kmeans1d(xs, o);
   EXPECT_EQ(r.centroids.size(), 3u);
+}
+
+// ------------------------------------------- histogram engine bit identity --
+//
+// The kHistogramLloyd engine folds and iterates over populated bins only. The
+// oracle below is the dense formulation it replaced — a per-chunk fold into
+// all H bins and a Lloyd over H-entry prefix sums with a binary search per
+// bin in the reseed scan — kept here verbatim as the reference. The two must
+// agree bit for bit on centroids, counts, inertia, iterations and the
+// convergence flag.
+
+namespace {
+
+nc::WeightedHistogram oracle_dense_fold(std::span<const double> xs,
+                                        std::size_t bins, double lo, double hi,
+                                        numarck::util::ThreadPool& pool) {
+  nc::WeightedHistogram h;
+  h.lo = lo;
+  h.hi = hi;
+  h.width = (hi - lo) / static_cast<double>(bins);
+  const double inv_width = static_cast<double>(bins) / (hi - lo);
+  struct Moments {
+    std::vector<double> cnt, sum, sumsq;
+    explicit Moments(std::size_t b) : cnt(b, 0.0), sum(b, 0.0), sumsq(b, 0.0) {}
+  };
+  const numarck::util::ChunkPlan plan(
+      0, xs.size(),
+      numarck::util::effective_workers(std::thread::hardware_concurrency() +
+                                       1));
+  std::vector<Moments> partials(plan.chunks, Moments(bins));
+  numarck::util::parallel_chunks(
+      pool, plan, [&](std::size_t c, std::size_t i0, std::size_t i1) {
+        Moments& m = partials[c];
+        for (std::size_t i = i0; i < i1; ++i) {
+          const double x = xs[i];
+          const double est = (x - lo) * inv_width;
+          const std::size_t b =
+              est <= 0.0 ? 0
+                         : std::min(bins - 1, static_cast<std::size_t>(est));
+          m.cnt[b] += 1.0;
+          m.sum[b] += x;
+          m.sumsq[b] += x * x;
+        }
+      });
+  h.count.assign(bins, 0.0);
+  h.sum.assign(bins, 0.0);
+  h.sumsq.assign(bins, 0.0);
+  for (const Moments& m : partials) {
+    for (std::size_t b = 0; b < bins; ++b) {
+      h.count[b] += m.cnt[b];
+      h.sum[b] += m.sum[b];
+      h.sumsq[b] += m.sumsq[b];
+    }
+  }
+  return h;
+}
+
+std::vector<double> oracle_seeds(const nc::WeightedHistogram& h, std::size_t k,
+                                 double total) {
+  std::vector<double> c;
+  std::size_t bin = 0;
+  double cum = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const double target =
+        total * (static_cast<double>(i) + 0.5) / static_cast<double>(k);
+    while (bin + 1 < h.bins() && cum + h.count[bin] < target) {
+      cum += h.count[bin];
+      ++bin;
+    }
+    const double in_bin = h.count[bin];
+    const double frac =
+        in_bin > 0.0 ? std::clamp((target - cum) / in_bin, 0.0, 1.0) : 0.5;
+    c.push_back(h.lo + (static_cast<double>(bin) + frac) * h.width);
+  }
+  std::sort(c.begin(), c.end());
+  c.erase(std::unique(c.begin(), c.end()), c.end());
+  return c;
+}
+
+std::size_t oracle_boundary_bin(const nc::WeightedHistogram& h, double mid) {
+  const std::size_t bins = h.bins();
+  const double est = (mid - h.lo) / h.width + 0.5;
+  std::size_t cut =
+      est <= 0.0 ? 0 : std::min(bins, static_cast<std::size_t>(est));
+  while (cut > 0 && h.center(cut - 1) > mid) --cut;
+  while (cut < bins && h.center(cut) <= mid) ++cut;
+  return cut;
+}
+
+nc::KMeansResult oracle_dense_lloyd(const nc::WeightedHistogram& h,
+                                    const nc::KMeansOptions& opts) {
+  nc::KMeansResult r;
+  const std::size_t bins = h.bins();
+  double total = 0.0;
+  for (double c : h.count) total += c;
+  if (total <= 0.0) return r;
+  std::vector<double> pc(bins + 1, 0.0), ps(bins + 1, 0.0), pq(bins + 1, 0.0);
+  for (std::size_t b = 0; b < bins; ++b) {
+    pc[b + 1] = pc[b] + h.count[b];
+    ps[b + 1] = ps[b] + h.sum[b];
+    pq[b + 1] = pq[b] + h.sumsq[b];
+  }
+  std::vector<double> centroids = oracle_seeds(h, opts.k, total);
+  if (centroids.empty()) return r;
+  std::vector<std::size_t> cuts(centroids.size() + 1);
+  const auto place_cuts = [&](const std::vector<double>& cents) {
+    const std::size_t k = cents.size();
+    cuts[0] = 0;
+    cuts[k] = bins;
+    for (std::size_t c = 1; c < k; ++c) {
+      const double mid = 0.5 * (cents[c - 1] + cents[c]);
+      cuts[c] = std::max(oracle_boundary_bin(h, mid), cuts[c - 1]);
+    }
+  };
+  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
+    ++r.iterations;
+    place_cuts(centroids);
+    const std::size_t k = centroids.size();
+    std::vector<double> next = centroids;
+    bool reseeded = false;
+    double max_shift = 0.0;
+    for (std::size_t c = 0; c < k; ++c) {
+      const double cnt = pc[cuts[c + 1]] - pc[cuts[c]];
+      if (cnt > 0.0) {
+        next[c] = (ps[cuts[c + 1]] - ps[cuts[c]]) / cnt;
+      } else if (!reseeded) {
+        double far_d = 0.0, far_v = 0.0;
+        for (std::size_t b = 0; b < bins; ++b) {
+          if (h.count[b] <= 0.0) continue;
+          const double x = h.center(b);
+          const double d = x - centroids[nc::nearest_centroid(centroids, x)];
+          if (d * d > far_d) {
+            far_d = d * d;
+            far_v = x;
+          }
+        }
+        if (far_d > 0.0) {
+          next[c] = far_v;
+          reseeded = true;
+        }
+      }
+      max_shift = std::max(max_shift, std::abs(next[c] - centroids[c]));
+    }
+    std::sort(next.begin(), next.end());
+    centroids.swap(next);
+    if (!reseeded && max_shift <= opts.tolerance) {
+      r.converged = true;
+      break;
+    }
+  }
+  place_cuts(centroids);
+  for (std::size_t c = 0; c < centroids.size(); ++c) {
+    const double cnt = pc[cuts[c + 1]] - pc[cuts[c]];
+    if (cnt <= 0.0) continue;
+    const double sum = ps[cuts[c + 1]] - ps[cuts[c]];
+    const double sq = pq[cuts[c + 1]] - pq[cuts[c]];
+    const double cent = centroids[c];
+    r.inertia += sq - 2.0 * cent * sum + cent * cent * cnt;
+    r.centroids.push_back(cent);
+    r.counts.push_back(static_cast<std::uint64_t>(cnt + 0.5));
+  }
+  r.inertia = std::max(r.inertia, 0.0);
+  return r;
+}
+
+/// The engine's public entry point as the dense formulation computed it.
+nc::KMeansResult oracle_histogram_kmeans(std::span<const double> xs,
+                                         const nc::KMeansOptions& opts,
+                                         numarck::util::ThreadPool& pool) {
+  nc::KMeansResult r;
+  if (xs.empty()) return r;
+  const auto [lo_it, hi_it] = std::minmax_element(xs.begin(), xs.end());
+  if (*lo_it >= *hi_it) {
+    r.centroids.push_back(*lo_it);
+    r.counts.push_back(xs.size());
+    r.converged = true;
+    return r;
+  }
+  const std::size_t bins =
+      opts.histogram_bins != 0
+          ? opts.histogram_bins
+          : std::min<std::size_t>(std::max<std::size_t>(64 * opts.k, 4096),
+                                  std::size_t{1} << 18);
+  return oracle_dense_lloyd(oracle_dense_fold(xs, bins, *lo_it, *hi_it, pool),
+                            opts);
+}
+
+void expect_bit_identical(const nc::KMeansResult& got,
+                          const nc::KMeansResult& want, const char* what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(got.centroids.size(), want.centroids.size());
+  for (std::size_t c = 0; c < want.centroids.size(); ++c) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.centroids[c]),
+              std::bit_cast<std::uint64_t>(want.centroids[c]))
+        << "centroid " << c << ": " << got.centroids[c] << " vs "
+        << want.centroids[c];
+  }
+  EXPECT_EQ(got.counts, want.counts);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.inertia),
+            std::bit_cast<std::uint64_t>(want.inertia))
+      << got.inertia << " vs " << want.inertia;
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+}
+
+/// kHistogramLloyd at the codec's settings (k = 255, 30 rounds) against the
+/// dense oracle, on the given pool.
+void expect_engine_matches_oracle(std::span<const double> xs, std::size_t k,
+                                  numarck::util::ThreadPool& pool,
+                                  const char* what) {
+  nc::KMeansOptions o;
+  o.k = k;
+  o.max_iterations = 30;
+  o.engine = nc::KMeansEngine::kHistogramLloyd;
+  o.pool = &pool;
+  expect_bit_identical(nc::kmeans1d(xs, o),
+                       oracle_histogram_kmeans(xs, o, pool), what);
+}
+
+/// Heavy-tailed change ratios in the shape a Sedov blast produces: most
+/// points just past the error bound, a Pareto tail that stretches the range
+/// so the bulk lands in a handful of the H fine bins.
+std::vector<double> heavy_tailed_ratios(std::size_t n, std::uint64_t seed) {
+  numarck::util::Pcg32 rng(seed);
+  std::vector<double> xs(n);
+  for (auto& x : xs) {
+    const double mag = 1e-3 / std::pow(1.0 - rng.uniform(), 1.6);
+    x = rng.uniform() < 0.5 ? -mag : mag;
+  }
+  return xs;
+}
+
+}  // namespace
+
+TEST(HistogramLloydOracle, HeavyTailedSetWithFewerPopulatedBinsThanK) {
+  const auto xs = heavy_tailed_ratios(1000, 3);
+  const auto [lo_it, hi_it] = std::minmax_element(xs.begin(), xs.end());
+  const auto h = nc::weighted_histogram(xs, 64 * 255, *lo_it, *hi_it);
+  const auto populated = static_cast<std::size_t>(
+      std::count_if(h.count.begin(), h.count.end(),
+                    [](double c) { return c > 0.0; }));
+  ASSERT_LT(populated, 255u);  // the regime where a cluster is always empty
+  numarck::util::ThreadPool pool(1);
+  expect_engine_matches_oracle(xs, 255, pool, "heavy-tailed n=1000");
+}
+
+TEST(HistogramLloydOracle, MultiChunkFoldAtEveryPoolSize) {
+  const std::size_t grain2 = 2 * numarck::util::kParallelGrainSize;
+  for (const std::size_t n : {grain2 - 1, grain2, grain2 + 1, 5 * grain2 + 7}) {
+    auto xs = heavy_tailed_ratios(n, 10 + n);
+    // Add a dense core so both regimes (populated bins above and below k)
+    // appear in one set.
+    numarck::util::Pcg32 rng(n);
+    for (std::size_t i = 0; i < n; i += 3) xs[i] = rng.normal(0.02, 0.004);
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      numarck::util::ThreadPool pool(threads);
+      const std::string what =
+          "n=" + std::to_string(n) + " threads=" + std::to_string(threads);
+      expect_engine_matches_oracle(xs, 255, pool, what.c_str());
+    }
+  }
+}
+
+TEST(HistogramLloydOracle, DuplicateAndTwoValueSets) {
+  numarck::util::ThreadPool pool(2);
+  std::vector<double> dup;
+  for (int i = 0; i < 900; ++i) dup.push_back(0.001 * (1 + i % 3));
+  expect_engine_matches_oracle(dup, 255, pool, "three repeated values");
+  std::vector<double> two(1201, -0.25);
+  for (std::size_t i = 0; i < two.size(); i += 4) two[i] = 0.75;
+  expect_engine_matches_oracle(two, 255, pool, "two values");
+  expect_engine_matches_oracle(two, 2, pool, "two values, k=2");
+  const std::vector<double> same(64, 0.125);
+  expect_engine_matches_oracle(same, 255, pool, "one value");
+}
+
+TEST(HistogramLloydOracle, OneClusterAndMoreClustersThanPoints) {
+  numarck::util::ThreadPool pool(1);
+  const auto xs = heavy_tailed_ratios(3000, 8);
+  expect_engine_matches_oracle(xs, 1, pool, "k=1");
+  const auto few = heavy_tailed_ratios(40, 9);
+  expect_engine_matches_oracle(few, 255, pool, "k > n");
+  expect_engine_matches_oracle(few, 63, pool, "k > n, k=63");
+}
+
+TEST(HistogramLloydOracle, WeightedLloydOnDenseHistogramWithEmptyInteriorBins) {
+  // Two well-separated clumps leave most interior bins empty; a hand-made
+  // histogram with fractional weights exercises the distributed input shape.
+  numarck::util::Pcg32 rng(12);
+  std::vector<double> xs;
+  for (int i = 0; i < 700; ++i) xs.push_back(rng.normal(-3.0, 0.05));
+  for (int i = 0; i < 300; ++i) xs.push_back(rng.normal(4.0, 0.2));
+  const auto h = nc::weighted_histogram(xs, 4096, -3.5, 5.0);
+  nc::KMeansOptions o;
+  o.max_iterations = 30;
+  for (const std::size_t k : {1u, 7u, 63u, 255u}) {
+    o.k = k;
+    const std::string what = "folded, k=" + std::to_string(k);
+    expect_bit_identical(nc::weighted_histogram_lloyd(h, o),
+                         oracle_dense_lloyd(h, o), what.c_str());
+  }
+
+  nc::WeightedHistogram w;
+  w.lo = -1.0;
+  w.hi = 1.0;
+  w.width = 2.0 / 40.0;
+  w.count.assign(40, 0.0);
+  w.sum.assign(40, 0.0);
+  w.sumsq.assign(40, 0.0);
+  for (const std::size_t b : {0u, 3u, 4u, 17u, 30u, 31u}) {
+    const double c = w.center(b);
+    w.count[b] = 2.5 + static_cast<double>(b);
+    w.sum[b] = w.count[b] * c;
+    w.sumsq[b] = w.count[b] * c * c;
+  }
+  for (const std::size_t k : {1u, 3u, 6u, 20u}) {
+    o.k = k;
+    const std::string what = "hand-made, k=" + std::to_string(k);
+    expect_bit_identical(nc::weighted_histogram_lloyd(w, o),
+                         oracle_dense_lloyd(w, o), what.c_str());
+  }
+
+  // Zero and one Lloyd rounds expose the seeds themselves. The masses put a
+  // seed target exactly at the end of the first populated bin (300 of 1200
+  // at k = 2), where the quantile walk must stop rather than move on.
+  std::fill(w.count.begin(), w.count.end(), 0.0);
+  std::fill(w.sum.begin(), w.sum.end(), 0.0);
+  std::fill(w.sumsq.begin(), w.sumsq.end(), 0.0);
+  for (const auto& [b, c] : {std::pair{2u, 300.0}, {9u, 300.0}, {20u, 600.0}}) {
+    w.count[b] = c;
+    w.sum[b] = c * w.center(b);
+    w.sumsq[b] = c * w.center(b) * w.center(b);
+  }
+  for (const std::size_t rounds : {0u, 1u, 30u}) {
+    for (const std::size_t k : {1u, 2u, 4u}) {
+      o.k = k;
+      o.max_iterations = rounds;
+      const std::string what = "exact quantile, k=" + std::to_string(k) +
+                               " rounds=" + std::to_string(rounds);
+      expect_bit_identical(nc::weighted_histogram_lloyd(w, o),
+                           oracle_dense_lloyd(w, o), what.c_str());
+    }
+  }
 }

@@ -13,6 +13,7 @@
 #include "numarck/metrics/metrics.hpp"
 #include "numarck/util/expect.hpp"
 #include "numarck/util/rng.hpp"
+#include "numarck/util/thread_pool.hpp"
 
 namespace nc = numarck::cluster;
 namespace nk = numarck::core;
@@ -245,6 +246,53 @@ TEST(DistributedEncode, EquivalentToSerialOnOneRank) {
   EXPECT_EQ(dist.local.indices, serial.indices);
   EXPECT_EQ(dist.local.exact_values, serial.exact_values);
   EXPECT_NEAR(dist.global_paper_ratio, serial.paper_compression_ratio(), 1e-9);
+}
+
+TEST(DistributedEncode, SerializesByteIdenticalToSerialEncode) {
+  // A stored record must not depend on how the encode was parallelized. One
+  // rank on a 4-worker pool stores the same bytes as the serial encoder on
+  // one worker; with four ranks, every rank's record equals the serial
+  // encode of its partition against the shared table.
+  const auto data = climate_like(40000, 51);
+  nk::Options opts;
+  opts.error_bound = 0.001;
+  numarck::util::ThreadPool serial_pool(1);
+  numarck::util::ThreadPool wide_pool(4);
+  nk::Options serial_opts = opts;
+  serial_opts.pool = &serial_pool;
+  opts.pool = &wide_pool;
+
+  opts.strategy = serial_opts.strategy = nk::Strategy::kEqualWidth;
+  nm::World one(1);
+  nd::EncodeResult dist;
+  one.run([&](nm::Communicator& comm) {
+    dist = nd::encode_iteration(comm, data.prev, data.curr, opts);
+  });
+  EXPECT_EQ(
+      dist.local.serialize(),
+      nk::encode_iteration(data.prev, data.curr, serial_opts).serialize());
+
+  opts.strategy = serial_opts.strategy = nk::Strategy::kClustering;
+  constexpr int kRanks = 4;
+  nm::World world(kRanks);
+  const auto prev_parts = partition(data.prev, kRanks);
+  const auto curr_parts = partition(data.curr, kRanks);
+  std::vector<nd::EncodeResult> results(kRanks);
+  world.run([&](nm::Communicator& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    results[r] = nd::encode_iteration(comm, prev_parts[r], curr_parts[r], opts);
+  });
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    nk::BinModel model;
+    model.strategy = nk::Strategy::kClustering;
+    model.centers = results[r].local.centers;
+    EXPECT_EQ(results[r].local.serialize(),
+              nk::encode_iteration_with_model(prev_parts[r], curr_parts[r],
+                                              model, serial_opts)
+                  .serialize())
+        << "rank " << r;
+    EXPECT_EQ(results[r].global_mean_error, results[0].global_mean_error);
+  }
 }
 
 TEST(DistributedEncode, PartitionSizeMismatchThrows) {

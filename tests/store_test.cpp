@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "numarck/adaptive/store_backed.hpp"
+#include "numarck/baselines/bspline_compressor.hpp"
 #include "numarck/codec/codec.hpp"
 #include "numarck/core/codec.hpp"
 #include "numarck/core/compressor.hpp"
@@ -825,6 +826,19 @@ nk::CompressedStep forge_isabela_patch_past_end() {
   return step_of(numarck::codec::kIsabelaId, false, w.take());
 }
 
+/// bspline record that declares 2^40 points for its four control points:
+/// decoding it as declared would allocate 8 TiB.
+nk::CompressedStep forge_bspline_point_count() {
+  numarck::baselines::BSplineCompressed model;
+  model.coefficients = {1.0, 2.0, 3.0, 4.0};
+  model.point_count = std::size_t{1} << 40;
+  numarck::util::ByteWriter w;
+  w.put_vector(model.serialize());
+  w.put_f64(0.001);  // bound
+  w.put_varint(0);   // no patches
+  return step_of(numarck::codec::kBsplineId, false, w.take());
+}
+
 struct Forgery {
   const char* name;
   nk::CompressedStep (*forge)();
@@ -838,6 +852,8 @@ constexpr Forgery kForgeries[] = {
      "fpc: residual overrun"},
     {"isabela_patch_past_end", forge_isabela_patch_past_end,
      "patch index out of range"},
+    {"bspline_point_count_2e40", forge_bspline_point_count,
+     "bspline: point count out of range"},
 };
 
 /// Runs `fn`, which must throw ContractViolation naming `reason`.
