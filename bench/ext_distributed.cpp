@@ -5,7 +5,7 @@
 //   serial       one table, no communication, one process;
 //   sharded      per-rank local tables, zero communication;
 //   distributed  one global table learned collectively (the paper's MPI
-//                model), a few allreduces per iteration.
+//                model), a few allreduces per encode.
 //
 // Reported per mode: Eq. 3 compression ratio, incompressible ratio, and —
 // for the distributed mode — bytes actually moved between ranks, to compare
@@ -93,8 +93,9 @@ int main() {
                 "/rank/iter)\n",
                 "distributed (global)", dist_ratio.mean(), dist_gamma.mean(),
                 static_cast<double>(moved) / 1048576.0, per_rank_iter_kb);
-    // The traffic scales with the table (k centroids x Lloyd iterations),
-    // NOT with the data: extrapolate to the paper's 64 MB/process partitions.
+    // The traffic is one allreduce of the 3·H-double weighted histogram per
+    // encode, set by the histogram resolution H, NOT by the data or the Lloyd
+    // iteration count: extrapolate to the paper's 64 MB/process partitions.
     std::printf("%-24s   at the paper's 64 MB/process, the same traffic is "
                 "%.2f%% of the partition\n",
                 "", 100.0 * per_rank_iter_kb / (64.0 * 1024.0));
@@ -108,11 +109,12 @@ int main() {
 
   std::printf("reading: the distributed mode recovers the serial compression\n"
               "ratio exactly (one global table vs one table per shard). Its\n"
-              "communication volume is set by the table size and the Lloyd\n"
-              "iteration count — independent of the data — so it dominates at\n"
-              "this demo's toy partitions but drops below ~1-2%% of the data at\n"
-              "the paper's 64 MB/process, which is precisely the paper's\n"
-              "'minimal data movement, mostly in place' design point. Sharding\n"
-              "avoids all traffic but pays one 2^B-1 table per rank.\n");
+              "communication volume is one allreduce of the 3*H-double\n"
+              "K-means histogram per encode, set by the histogram resolution H\n"
+              "— independent of the data and of the Lloyd iteration count — so\n"
+              "it dominates at this demo's toy partitions but drops to ~1%% of\n"
+              "the data at the paper's 64 MB/process, which is precisely the\n"
+              "paper's 'minimal data movement, mostly in place' design point.\n"
+              "Sharding avoids all traffic but pays one 2^B-1 table per rank.\n");
   return 0;
 }

@@ -1,25 +1,20 @@
 // Distributed 1-D K-means over the simulated message-passing runtime — the
 // algorithm the paper actually ran (their MPI parallel K-means package,
-// references [1] and [13]).
+// references [1] and [13]), on the production kHistogramLloyd engine.
 //
 // Data stays where it lives: each rank holds its local slice of the change
 // ratios and only aggregates cross the network —
-//   seeding:   allreduce(min, max), allreduce(histogram counts);
-//   iteration: allreduce(per-cluster sum, count) — exactly the
-//              MPI_Allreduce step of Lloyd's algorithm;
-//   repair:    allreduce(max) over the farthest-point distance.
-// Every rank therefore holds identical centroids at every step, and the
-// result is bitwise-identical to the shared-memory kLloydParallel engine on
-// the concatenated data (a property the tests assert).
-//
-// With engine == kHistogramLloyd the per-iteration collectives disappear
-// entirely: each rank folds its slice into a local WeightedHistogram over the
-// global [min, max], ONE summing allreduce merges the three moment arrays,
-// and every rank then runs the identical deterministic weighted Lloyd on the
-// global histogram — zero further communication regardless of iteration
-// count. Every rank returns the identical result (weighted Lloyd is a pure
-// function of the allreduced histogram), matching the shared-memory
-// kHistogramLloyd engine up to the summation order of the bin moments.
+//   extent:    allreduce(min), allreduce(max), allreduce(point count);
+//   histogram: each rank folds its slice into a local WeightedHistogram over
+//              the global [min, max] and ONE summing allreduce merges the
+//              three moment arrays [count | sum | sumsq] (3·H doubles).
+// Every rank then runs the identical deterministic weighted Lloyd
+// (weighted_histogram_lloyd) on the global histogram, so the traffic does
+// not depend on the number of Lloyd iterations and every rank returns the
+// identical result. On one rank the result is bit-identical to the serial
+// kHistogramLloyd engine; on several it differs only by the summation order
+// of the bin moments. Constant data (min == max) follows the serial rule:
+// one exact centroid, zero inertia, converged.
 #pragma once
 
 #include <span>
@@ -33,12 +28,7 @@ struct DistributedKMeansOptions {
   std::size_t k = 255;
   std::size_t max_iterations = 30;
   double tolerance = 1e-12;
-  std::size_t seed_histogram_bins = 0;  ///< 0 = max(4k, 256), as serial
-  /// kLloydParallel = allreduce-per-iteration exact Lloyd (paper's MPI shape);
-  /// kHistogramLloyd = one histogram allreduce, then local weighted Lloyd.
-  /// kSortedBoundary has no distributed analogue and maps to kLloydParallel.
-  KMeansEngine engine = KMeansEngine::kLloydParallel;
-  /// kHistogramLloyd resolution H; 0 = serial engine default.
+  /// Histogram resolution H; 0 = resolve_histogram_bins' default.
   std::size_t histogram_bins = 0;
 };
 

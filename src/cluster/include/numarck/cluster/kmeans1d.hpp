@@ -1,36 +1,33 @@
-// Parallel 1-D K-means used by the clustering-based approximation strategy
-// (§II-C-3 of the paper).
+// 1-D K-means used by the clustering-based approximation strategy (§II-C-3
+// of the paper).
 //
 // The paper runs its own MPI parallel K-means over the change ratios with
 // k = 2^B - 1 clusters, seeding the centroids from the equal-width histogram
 // "to achieve more reliable segmentation results". This module reproduces
-// that algorithm on a shared-memory substrate with three interchangeable
-// engines:
+// that algorithm with two engines, one for production and one as the exact
+// reference; distributed_kmeans.hpp runs the production engine across ranks:
 //
-//  * kLloydParallel — textbook Lloyd iteration; the assignment step is a
-//    parallel_reduce over the point range with per-chunk (sum, count)
-//    accumulators per cluster, i.e. exactly the MPI_Allreduce structure of
-//    the original package mapped onto a thread pool.
+//  * kSortedBoundary — the exact reference: data is sorted once; because
+//    nearest-centroid regions in 1-D are intervals delimited by centroid
+//    midpoints, each Lloyd step reduces to k binary searches over the sorted
+//    array plus prefix-sum lookups, costing O(k log n) instead of the
+//    textbook O(n k), and reaches the same Lloyd fixpoint. A final
+//    per-point pass reports exact counts and inertia.
 //
-//  * kSortedBoundary — an exact 1-D specialization: data is sorted once;
-//    because nearest-centroid regions in 1-D are intervals delimited by
-//    centroid midpoints, each Lloyd step reduces to k binary searches over
-//    the sorted array plus prefix-sum lookups, costing O(k log n) instead of
-//    O(n k). Reaches the same Lloyd fixpoint as kLloydParallel; the ablation
-//    bench (bench/ablation_kmeans) quantifies the gap.
-//
-//  * kHistogramLloyd — histogram-compressed Lloyd: one O(n + H) pass folds
-//    the data onto a fine fixed-resolution equal-width grid of H bins and
-//    keeps only the m <= min(n, H) populated bins (per-bin population, Σx
-//    and Σx², see WeightedHistogram). The fold is a stable counting sort by
-//    bin index with one offsets array of H + 1 entries. Lloyd then runs over
-//    the populated bins via prefix sums: each round costs O(k log m), plus
-//    O(m + k) in a round where a cluster is empty and must be reseeded.
-//    Small learn sets are the common case: a Sedov-blast snapshot gives
-//    about 1,200 ratios that fill about 140 of the H = 16,320 bins at
-//    B = 8 — fewer populated bins than k = 255 clusters — so a cluster is
-//    always empty, every round reseeds and Lloyd runs all its rounds; with
-//    the cost tied to m rather than H those rounds stay cheap.
+//  * kHistogramLloyd — histogram-compressed Lloyd, the production engine (the
+//    core::Options default and the only one that runs across ranks): one
+//    O(n + H) pass folds the data onto a fine fixed-resolution equal-width
+//    grid of H bins and keeps only the m <= min(n, H) populated bins
+//    (per-bin population, Σx and Σx², see WeightedHistogram). The fold is a
+//    stable counting sort by bin index with one offsets array of H + 1
+//    entries. Lloyd then runs over the populated bins via prefix sums: each
+//    round costs O(k log m), plus O(m + k) in a round where a cluster is
+//    empty and must be reseeded. Small learn sets are the common case: a
+//    Sedov-blast snapshot gives about 1,200 ratios that fill about 140 of
+//    the H = 16,320 bins at B = 8 — fewer populated bins than k = 255
+//    clusters — so a cluster is always empty, every round reseeds and Lloyd
+//    runs all its rounds; with the cost tied to m rather than H those rounds
+//    stay cheap.
 //    Exactness bound: with bin width w = (max−min)/H, a bin's points are
 //    within w/2 of its center, so the bin-granular assignment picks for every
 //    point a centroid at most w farther than its true nearest; it can differ
@@ -52,7 +49,6 @@
 namespace numarck::cluster {
 
 enum class KMeansEngine : std::uint8_t {
-  kLloydParallel,    ///< O(n k) per iteration, thread-parallel assignment
   kSortedBoundary,   ///< O(n log n) once + O(k log n) per iteration, exact
   kHistogramLloyd,   ///< O(n + H) once + O(k log m) per iteration (m populated
                      ///< bins), resolution-bounded
@@ -78,7 +74,7 @@ struct KMeansOptions {
   double tolerance = 1e-12;       ///< max centroid shift to declare convergence
   KMeansEngine engine = KMeansEngine::kSortedBoundary;
   KMeansInit init = KMeansInit::kEqualWidthHistogram;
-  /// kHistogramLloyd resolution H; 0 = max(64 k, 4096) capped at 2^18. Bin
+  /// kHistogramLloyd resolution H; 0 = resolve_histogram_bins' default. Bin
   /// width w = range/H is the engine's exactness knob (see file header).
   std::size_t histogram_bins = 0;
   numarck::util::ThreadPool* pool = nullptr;  ///< null -> process-global pool
@@ -91,6 +87,11 @@ struct KMeansResult {
   std::size_t iterations = 0;          ///< Lloyd iterations actually run
   bool converged = false;
 };
+
+/// The kHistogramLloyd resolution H for `opts`: opts.histogram_bins when set,
+/// else max(64 k, 4096) capped at 2^18. The serial and distributed histogram
+/// paths both size their grid here.
+std::size_t resolve_histogram_bins(const KMeansOptions& opts);
 
 /// Runs K-means over xs. Handles n < k by returning one centroid per distinct
 /// value. Empty clusters are reseeded once to the point farthest from its

@@ -77,13 +77,11 @@ std::vector<double> init_centroids(std::span<const double> xs,
   return c;
 }
 
-/// Per-cluster accumulators for one Lloyd assignment pass.
+/// Per-cluster accumulators for one assignment pass.
 struct Accum {
   std::vector<double> sum;
   std::vector<std::uint64_t> cnt;
   double inertia = 0.0;
-  double farthest_dist = -1.0;
-  double farthest_value = 0.0;
 
   explicit Accum(std::size_t k) : sum(k, 0.0), cnt(k, 0) {}
   Accum() = default;
@@ -94,16 +92,11 @@ struct Accum {
       cnt[i] += o.cnt[i];
     }
     inertia += o.inertia;
-    if (o.farthest_dist > farthest_dist) {
-      farthest_dist = o.farthest_dist;
-      farthest_value = o.farthest_value;
-    }
   }
 };
 
-/// One parallel Lloyd assignment + accumulation pass (the MPI_Allreduce
-/// analogue): returns merged per-cluster sums/counts and the globally
-/// farthest point for empty-cluster reseeding.
+/// One parallel nearest-centroid assignment + accumulation pass: returns
+/// merged per-cluster sums/counts and the total inertia.
 Accum assign_pass(std::span<const double> xs, std::span<const double> centroids,
                   ThreadPool& pool) {
   const std::size_t k = centroids.size();
@@ -119,10 +112,6 @@ Accum assign_pass(std::span<const double> xs, std::span<const double> centroids,
           const double d = x - centroids[c];
           const double d2 = d * d;
           a.inertia += d2;
-          if (d2 > a.farthest_dist) {
-            a.farthest_dist = d2;
-            a.farthest_value = x;
-          }
         }
         return a;
       },
@@ -130,49 +119,6 @@ Accum assign_pass(std::span<const double> xs, std::span<const double> centroids,
         a.merge(b);
         return a;
       });
-}
-
-KMeansResult lloyd_parallel(std::span<const double> xs, const KMeansOptions& opts,
-                            std::vector<double> centroids, ThreadPool& pool) {
-  KMeansResult r;
-  bool reseeded_this_round = false;
-  Accum last;
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    last = assign_pass(xs, centroids, pool);
-    ++r.iterations;
-
-    // Update step; reseed at most one empty cluster per round to the point
-    // farthest from its centroid (a standard deterministic repair).
-    std::vector<double> next = centroids;
-    reseeded_this_round = false;
-    double max_shift = 0.0;
-    for (std::size_t c = 0; c < centroids.size(); ++c) {
-      if (last.cnt[c] > 0) {
-        next[c] = last.sum[c] / static_cast<double>(last.cnt[c]);
-      } else if (!reseeded_this_round && last.farthest_dist > 0.0) {
-        next[c] = last.farthest_value;
-        reseeded_this_round = true;
-      }
-      max_shift = std::max(max_shift, std::abs(next[c] - centroids[c]));
-    }
-    std::sort(next.begin(), next.end());
-    centroids.swap(next);
-    if (!reseeded_this_round && max_shift <= opts.tolerance) {
-      r.converged = true;
-      break;
-    }
-  }
-  // Final exact assignment for counts/inertia against the converged centroids.
-  last = assign_pass(xs, centroids, pool);
-  r.inertia = last.inertia;
-  // Drop empty clusters.
-  for (std::size_t c = 0; c < centroids.size(); ++c) {
-    if (last.cnt[c] > 0) {
-      r.centroids.push_back(centroids[c]);
-      r.counts.push_back(last.cnt[c]);
-    }
-  }
-  return r;
 }
 
 /// Exact sorted-boundary engine. Requires xs sorted ascending and a prefix-sum
@@ -229,8 +175,7 @@ KMeansResult sorted_boundary(std::span<const double> xs, const KMeansOptions& op
       break;
     }
   }
-  // Final exact pass via the parallel engine for counts and inertia (keeps
-  // the two engines' outputs directly comparable).
+  // Final exact per-point pass for counts and inertia.
   Accum fin = assign_pass(xs, centroids, pool);
   r.inertia = fin.inertia;
   for (std::size_t c = 0; c < centroids.size(); ++c) {
@@ -240,13 +185,6 @@ KMeansResult sorted_boundary(std::span<const double> xs, const KMeansOptions& op
     }
   }
   return r;
-}
-
-/// Resolution of the kHistogramLloyd engine when opts.histogram_bins == 0.
-std::size_t resolve_histogram_bins(const KMeansOptions& opts) {
-  if (opts.histogram_bins != 0) return opts.histogram_bins;
-  return std::min<std::size_t>(std::max<std::size_t>(64 * opts.k, 4096),
-                               std::size_t{1} << 18);
 }
 
 /// The populated bins of an equal-width grid, ascending by grid index, with
@@ -538,6 +476,12 @@ KMeansResult histogram_lloyd(std::span<const double> xs,
 
 }  // namespace
 
+std::size_t resolve_histogram_bins(const KMeansOptions& opts) {
+  if (opts.histogram_bins != 0) return opts.histogram_bins;
+  return std::min<std::size_t>(std::max<std::size_t>(64 * opts.k, 4096),
+                               std::size_t{1} << 18);
+}
+
 std::size_t nearest_centroid(std::span<const double> centroids, double x) {
   NUMARCK_EXPECT(!centroids.empty(),
                  "nearest_centroid: empty centroid table has no nearest index");
@@ -568,15 +512,7 @@ KMeansResult kmeans1d(std::span<const double> xs, const KMeansOptions& opts) {
   std::vector<double> seeds = init_centroids(xs, opts, pool);
   if (seeds.empty()) return r;
 
-  switch (opts.engine) {
-    case KMeansEngine::kLloydParallel:
-      return lloyd_parallel(xs, opts, std::move(seeds), pool);
-    case KMeansEngine::kSortedBoundary:
-      return sorted_boundary(xs, opts, std::move(seeds), pool);
-    case KMeansEngine::kHistogramLloyd:
-      break;  // handled above
-  }
-  return r;
+  return sorted_boundary(xs, opts, std::move(seeds), pool);
 }
 
 WeightedHistogram weighted_histogram(std::span<const double> xs,

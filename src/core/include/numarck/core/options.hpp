@@ -115,7 +115,8 @@ struct Options {
   /// folds the learn set in O(n + H) and runs each Lloyd round in
   /// O(k log m) over the m populated bins, plus O(m + k) when a cluster is
   /// empty (see kmeans1d.hpp); pick kSortedBoundary to recover the exact
-  /// 1-D fixpoint for reference runs.
+  /// 1-D fixpoint for serial reference runs. The distributed encoder always
+  /// learns through kHistogramLloyd.
   cluster::KMeansEngine kmeans_engine = cluster::KMeansEngine::kHistogramLloyd;
   std::size_t kmeans_max_iterations = 30;
 

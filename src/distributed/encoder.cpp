@@ -82,11 +82,6 @@ core::BinModel learn_global_model(mpisim::Communicator& comm,
       cluster::DistributedKMeansOptions ko;
       ko.k = bins;
       ko.max_iterations = opts.kmeans_max_iterations;
-      // kSortedBoundary has no distributed analogue; fall back to the
-      // allreduce-per-iteration Lloyd, which reaches the same fixpoint.
-      ko.engine = opts.kmeans_engine == cluster::KMeansEngine::kHistogramLloyd
-                      ? cluster::KMeansEngine::kHistogramLloyd
-                      : cluster::KMeansEngine::kLloydParallel;
       ko.histogram_bins = opts.kmeans_histogram_bins;
       const auto r = cluster::distributed_kmeans1d(comm, learn, ko);
       core::BinModel m;

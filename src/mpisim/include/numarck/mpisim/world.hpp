@@ -85,8 +85,6 @@ class Communicator {
   [[nodiscard]] std::uint64_t allreduce_sum(std::uint64_t value);
   /// Element-wise vector sum across ranks (all ranks pass equal lengths).
   [[nodiscard]] std::vector<double> allreduce_sum(std::span<const double> values);
-  [[nodiscard]] std::vector<std::uint64_t> allreduce_sum(
-      std::span<const std::uint64_t> values);
   /// Root's vector is distributed to everyone.
   [[nodiscard]] std::vector<double> broadcast(std::vector<double> values,
                                               int root);

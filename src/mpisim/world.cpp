@@ -329,20 +329,6 @@ std::vector<double> Communicator::allreduce_sum(std::span<const double> values) 
       });
 }
 
-std::vector<std::uint64_t> Communicator::allreduce_sum(
-    std::span<const std::uint64_t> values) {
-  std::vector<double> d(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    d[i] = static_cast<double>(values[i]);
-  }
-  const auto r = allreduce_sum(d);
-  std::vector<std::uint64_t> out(r.size());
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    out[i] = static_cast<std::uint64_t>(r[i] + 0.5);
-  }
-  return out;
-}
-
 std::vector<double> Communicator::broadcast(std::vector<double> values,
                                             int root) {
   NUMARCK_EXPECT(root >= 0 && root < size(), "broadcast: bad root");

@@ -3,7 +3,9 @@
 // partitions, and the storage advantage over per-shard tables.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
 #include <vector>
 
@@ -47,40 +49,82 @@ std::vector<double> mixture_data(std::size_t n, std::uint64_t seed) {
 
 // ---------------------------------------------------- distributed K-means --
 
+namespace {
+
+/// Runs distributed_kmeans1d over `xs` split contiguously across `ranks`
+/// and returns every rank's result, in rank order.
+std::vector<nc::KMeansResult> run_distributed(
+    const std::vector<double>& xs, int ranks,
+    const nc::DistributedKMeansOptions& opts) {
+  nm::World world(ranks);
+  const auto parts = partition(xs, ranks);
+  std::vector<nc::KMeansResult> results(static_cast<std::size_t>(ranks));
+  world.run([&](nm::Communicator& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    results[r] = nc::distributed_kmeans1d(comm, parts[r], opts);
+  });
+  return results;
+}
+
+void expect_bit_identical(const nc::KMeansResult& a,
+                          const nc::KMeansResult& b) {
+  EXPECT_EQ(a.centroids, b.centroids);
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.inertia),
+            std::bit_cast<std::uint64_t>(b.inertia));
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.converged, b.converged);
+}
+
+}  // namespace
+
 TEST(DistributedKMeans, MatchesSerialLloydOnSameData) {
   const auto xs = mixture_data(30000, 11);
 
   nc::KMeansOptions serial_opts;
   serial_opts.k = 63;
   serial_opts.max_iterations = 40;
-  serial_opts.engine = nc::KMeansEngine::kLloydParallel;
+  serial_opts.engine = nc::KMeansEngine::kHistogramLloyd;
   const auto serial = nc::kmeans1d(xs, serial_opts);
 
   nc::DistributedKMeansOptions dopts;
   dopts.k = 63;
   dopts.max_iterations = 40;
 
-  nm::World world(4);
-  const auto parts = partition(xs, 4);
-  std::vector<nc::KMeansResult> results(4);
-  world.run([&](nm::Communicator& comm) {
-    results[static_cast<std::size_t>(comm.rank())] = nc::distributed_kmeans1d(
-        comm, parts[static_cast<std::size_t>(comm.rank())], dopts);
-  });
+  // One rank folds the same data into the same histogram: bit-identical.
+  expect_bit_identical(run_distributed(xs, 1, dopts)[0], serial);
 
+  const auto results = run_distributed(xs, 4, dopts);
   // All ranks agree bit-for-bit with each other.
-  for (int r = 1; r < 4; ++r) {
-    EXPECT_EQ(results[static_cast<std::size_t>(r)].centroids,
-              results[0].centroids);
-    EXPECT_EQ(results[static_cast<std::size_t>(r)].counts, results[0].counts);
+  for (std::size_t r = 1; r < results.size(); ++r) {
+    expect_bit_identical(results[r], results[0]);
   }
-  // And match the serial engine up to floating-point reduction order.
+  // And match the serial engine up to the bin moments' summation order.
   ASSERT_EQ(results[0].centroids.size(), serial.centroids.size());
   for (std::size_t c = 0; c < serial.centroids.size(); ++c) {
     EXPECT_NEAR(results[0].centroids[c], serial.centroids[c],
                 1e-6 * (std::abs(serial.centroids[c]) + 1e-3));
   }
   EXPECT_NEAR(results[0].inertia, serial.inertia, 1e-6 * serial.inertia);
+}
+
+TEST(DistributedKMeans, ConstantDataMatchesSerialExactly) {
+  const std::vector<double> xs(3000, 0.1);
+  nc::KMeansOptions serial_opts;
+  serial_opts.k = 8;
+  serial_opts.engine = nc::KMeansEngine::kHistogramLloyd;
+  const auto serial = nc::kmeans1d(xs, serial_opts);
+  ASSERT_EQ(serial.centroids, std::vector<double>{0.1});
+  EXPECT_EQ(serial.inertia, 0.0);
+  EXPECT_TRUE(serial.converged);
+
+  nc::DistributedKMeansOptions dopts;
+  dopts.k = 8;
+  for (const int ranks : {1, 3}) {
+    for (const auto& r : run_distributed(xs, ranks, dopts)) {
+      expect_bit_identical(r, serial);
+    }
+  }
 }
 
 TEST(DistributedKMeans, CountsSumToGlobalN) {

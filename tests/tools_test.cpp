@@ -171,6 +171,16 @@ TEST(Tools, ParsePostpassNames) {
   EXPECT_TRUE(nt::to_postpass(nt::PostpassMode::kAuto).rans_indices);
 }
 
+TEST(Tools, ParseKMeansEngineNames) {
+  EXPECT_EQ(nt::parse_kmeans_engine("histogram"),
+            numarck::cluster::KMeansEngine::kHistogramLloyd);
+  EXPECT_EQ(nt::parse_kmeans_engine("exact"),
+            numarck::cluster::KMeansEngine::kSortedBoundary);
+  EXPECT_THROW(nt::parse_kmeans_engine("lloyd"), numarck::ContractViolation);
+  EXPECT_THROW(nt::parse_kmeans_engine("kmeans++"),
+               numarck::ContractViolation);
+}
+
 TEST(Tools, MisalignedInputThrows) {
   TempPath input("mis"), ckpt("misck");
   write_raw(input.str(), make_series(100, 3));

@@ -110,10 +110,8 @@ core::Postpass to_postpass(PostpassMode mode) {
 cluster::KMeansEngine parse_kmeans_engine(const std::string& name) {
   if (name == "histogram") return cluster::KMeansEngine::kHistogramLloyd;
   if (name == "exact") return cluster::KMeansEngine::kSortedBoundary;
-  if (name == "lloyd") return cluster::KMeansEngine::kLloydParallel;
   NUMARCK_EXPECT(false,
-                 "unknown kmeans engine (want histogram | exact | lloyd): " +
-                     name);
+                 "unknown kmeans engine (want histogram | exact): " + name);
   return cluster::KMeansEngine::kHistogramLloyd;
 }
 

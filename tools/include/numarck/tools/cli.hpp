@@ -99,7 +99,7 @@ core::Predictor parse_predictor(const std::string& name);
 /// checkpointing API accepts; compress/compact reject it with a clear message.
 std::uint8_t parse_codec(const std::string& name);
 
-/// Parses a K-means engine name ("histogram" | "exact" | "lloyd").
+/// Parses a K-means engine name ("histogram" | "exact").
 /// "exact" is the sorted-boundary 1-D specialization; "histogram" the
 /// resolution-bounded default (see cluster/kmeans1d.hpp).
 cluster::KMeansEngine parse_kmeans_engine(const std::string& name);

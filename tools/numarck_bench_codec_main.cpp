@@ -127,8 +127,6 @@ const char* engine_name(cluster::KMeansEngine e) {
       return "exact";
     case cluster::KMeansEngine::kHistogramLloyd:
       return "histogram";
-    case cluster::KMeansEngine::kLloydParallel:
-      return "lloyd";
   }
   return "?";
 }

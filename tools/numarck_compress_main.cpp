@@ -18,7 +18,7 @@ const char* kUsage =
     "                        [--error-bound E] [--bits B]\n"
     "                        [--strategy equal-width|log-scale|clustering]\n"
     "                        [--predictor previous|linear]\n"
-    "                        [--kmeans-engine histogram|exact|lloyd]\n"
+    "                        [--kmeans-engine histogram|exact]\n"
     "                        [--sampling-ratio R]  # learn-set fraction (0,1]\n"
     "                        [--codec numarck|fpc|isabela|bspline]\n"
     "                        [--postpass none|huffman|rans|auto]\n"
