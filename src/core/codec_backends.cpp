@@ -87,11 +87,15 @@ class NumarckCodec final : public Codec {
                              std::span<const double> previous2,
                              std::size_t expected_points) const override {
     // The caller's expected size doubles as the deserializer's forged-count
-    // bound (0 = unknown, fall back to the built-in ceiling).
-    const core::EncodedIteration enc = core::EncodedIteration::deserialize(
-        payload, expected_points != 0
-                     ? expected_points
-                     : core::EncodedIteration::kDefaultMaxPointCount);
+    // bound. When the caller does not know it (0: chain replay reads records
+    // CRC-checked only), a delta can hold no more points than its reference;
+    // only a reference-less call falls back to the built-in ceiling.
+    const std::size_t bound =
+        expected_points != 0 ? expected_points
+        : !previous.empty()  ? previous.size()
+                             : core::EncodedIteration::kDefaultMaxPointCount;
+    const core::EncodedIteration enc =
+        core::EncodedIteration::deserialize(payload, bound);
     if (expected_points != 0) {
       NUMARCK_EXPECT(enc.point_count == expected_points,
                      "numarck codec: payload point count mismatch");

@@ -1,5 +1,7 @@
 #include "numarck/core/encoded.hpp"
 
+#include <utility>
+
 #include "numarck/lossless/fpc.hpp"
 #include "numarck/lossless/huffman.hpp"
 #include "numarck/lossless/rans.hpp"
@@ -49,25 +51,28 @@ std::vector<std::uint8_t> EncodedIteration::serialize(
       compressible_count() > 0) {
     const auto symbols =
         util::unpack_indices(indices, index_bits, compressible_count());
+    const std::uint32_t alphabet = std::uint32_t{1} << index_bits;
     // With rANS enabled the flatness heuristic arbitrates (and may skip
     // coding outright); Huffman-only keeps the original always-try
-    // behaviour so pre-rANS archives re-encode byte-identically.
+    // behaviour so pre-rANS archives re-encode byte-identically. The
+    // heuristic and the rANS coder share one histogram.
+    const std::vector<std::uint64_t> hist =
+        postpass.rans_indices ? lossless::symbol_histogram(symbols, alphabet)
+                              : std::vector<std::uint64_t>{};
     const lossless::IndexCoder coder =
         postpass.rans_indices
-            ? lossless::choose_index_coder(symbols, index_bits,
+            ? lossless::choose_index_coder(hist, index_bits,
                                            postpass.huffman_indices,
                                            /*allow_rans=*/true)
             : lossless::IndexCoder::kHuffman;
     if (coder == lossless::IndexCoder::kHuffman) {
-      auto coded = lossless::huffman_encode(
-          symbols, static_cast<std::uint32_t>(1) << index_bits);
+      auto coded = lossless::huffman_encode(symbols, alphabet);
       if (coded.size() < idx_stream.size()) {
         idx_stream = std::move(coded);
         flags |= kFlagHuffmanIndices;
       }
     } else if (coder == lossless::IndexCoder::kRans) {
-      auto coded = lossless::rans_encode(
-          symbols, static_cast<std::uint32_t>(1) << index_bits);
+      auto coded = lossless::rans_encode(symbols, hist);
       if (coded.size() < idx_stream.size()) {
         idx_stream = std::move(coded);
         flags |= kFlagRansIndices;
@@ -166,13 +171,13 @@ EncodedIteration EncodedIteration::deserialize(
   e.centers = r.get_vector<double>();
   NUMARCK_EXPECT(e.centers.size() < (std::size_t{1} << e.index_bits),
                  "EncodedIteration: center table exceeds index space");
-  const auto zeta_stream = r.get_vector<std::uint8_t>();
+  auto zeta_stream = r.get_vector<std::uint8_t>();
   e.zeta = (flags & kFlagRleBitmap)
                ? lossless::rle_decode_bits(zeta_stream, e.point_count)
-               : zeta_stream;
+               : std::move(zeta_stream);
   NUMARCK_EXPECT(e.zeta.size() >= (e.point_count + 7) / 8,
                  "EncodedIteration: bitmap too small for point count");
-  const auto idx_stream = r.get_vector<std::uint8_t>();
+  auto idx_stream = r.get_vector<std::uint8_t>();
   const auto exact_stream = r.get_vector<std::uint8_t>();
   if (flags & kFlagFpcExact) {
     e.exact_values = lossless::fpc_decompress(exact_stream);
@@ -191,13 +196,11 @@ EncodedIteration EncodedIteration::deserialize(
             : lossless::rans_decode(idx_stream, e.compressible_count());
     NUMARCK_EXPECT(symbols.size() == e.compressible_count(),
                    "EncodedIteration: index count mismatch after decode");
-    for (const std::uint32_t s : symbols) {
-      NUMARCK_EXPECT(s < (std::uint32_t{1} << e.index_bits),
-                     "EncodedIteration: decoded index exceeds width");
-    }
+    // pack_indices rejects a decoded index wider than index_bits in the
+    // same pass that packs it.
     e.indices = util::pack_indices(symbols, e.index_bits);
   } else {
-    e.indices = idx_stream;
+    e.indices = std::move(idx_stream);
     NUMARCK_EXPECT(e.indices.size() * 8 >=
                        e.compressible_count() * std::size_t{e.index_bits},
                    "EncodedIteration: index stream too small");

@@ -22,7 +22,9 @@ namespace numarck::lossless {
 struct FpcOptions {
   /// log2 of the predictor hash-table size. The original FPC exposes the same
   /// knob; 16 (65536 entries, 512 KiB per table) is a good default for the
-  /// checkpoint sizes in this repository.
+  /// checkpoint sizes in this repository. Up to 16, compress and decompress
+  /// reuse one table pair per thread (1 MiB, kept from a thread's first FPC
+  /// call until it exits); larger tables are allocated per call.
   unsigned table_log2 = 16;
 };
 

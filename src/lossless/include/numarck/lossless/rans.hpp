@@ -38,6 +38,19 @@ std::vector<std::uint8_t> rans_encode(std::span<const std::uint32_t> symbols,
                                       std::uint32_t alphabet_size,
                                       unsigned ways = 4);
 
+/// rans_encode with the symbol histogram already counted: `hist` must be
+/// symbol_histogram(symbols, alphabet_size) (the alphabet is hist.size()).
+/// Same bytes as the overload above; serialize counts once and shares the
+/// histogram with choose_index_coder.
+std::vector<std::uint8_t> rans_encode(std::span<const std::uint32_t> symbols,
+                                      std::span<const std::uint64_t> hist,
+                                      unsigned ways = 4);
+
+/// Occurrence count of each symbol in [0, alphabet_size). Throws
+/// ContractViolation on a symbol outside the alphabet.
+std::vector<std::uint64_t> symbol_histogram(
+    std::span<const std::uint32_t> symbols, std::uint32_t alphabet_size);
+
 /// Exact inverse of rans_encode. Throws ContractViolation on malformed
 /// input. `max_count` caps the symbol count a forged header can claim
 /// before the output allocation is sized (callers know how many symbols a
@@ -67,6 +80,11 @@ const char* to_string(IndexCoder c) noexcept;
 /// replaces the raw stream when the coded form is strictly smaller, so a
 /// wrong guess costs throughput, never bytes.
 IndexCoder choose_index_coder(std::span<const std::uint32_t> symbols,
+                              unsigned index_bits, bool allow_huffman,
+                              bool allow_rans);
+
+/// choose_index_coder over a symbol_histogram of alphabet 2^index_bits.
+IndexCoder choose_index_coder(std::span<const std::uint64_t> hist,
                               unsigned index_bits, bool allow_huffman,
                               bool allow_rans);
 

@@ -16,7 +16,9 @@ std::vector<std::uint8_t> rle_encode_bits(std::span<const std::uint8_t> packed,
                                           std::size_t bit_count);
 
 /// Inverse of rle_encode_bits; returns the packed bitmap and checks that the
-/// decoded run lengths sum to `bit_count`.
+/// decoded run lengths sum to `bit_count`. Accepts only streams
+/// rle_encode_bits can produce (minimal varints; the empty bitmap is the
+/// single byte 0), so re-encoding the result gives back the stream.
 std::vector<std::uint8_t> rle_decode_bits(std::span<const std::uint8_t> stream,
                                           std::size_t bit_count);
 

@@ -38,7 +38,7 @@ constexpr std::uint8_t kTableSparse = 1;  ///< used count + (Δsymbol, freq)
 /// proportional floor, then drift repaid from the largest buckets in
 /// (count, symbol) order — no float rounding, no tie-break ambiguity, so
 /// encodes are byte-identical across threads and ISAs.
-std::vector<std::uint32_t> quantize_freqs(const std::vector<std::uint64_t>& hist,
+std::vector<std::uint32_t> quantize_freqs(std::span<const std::uint64_t> hist,
                                           std::uint64_t n,
                                           unsigned scale_bits) {
   const std::uint32_t total = 1u << scale_bits;
@@ -85,24 +85,43 @@ unsigned pick_scale_bits(std::size_t used) {
 
 }  // namespace
 
+std::vector<std::uint64_t> symbol_histogram(
+    std::span<const std::uint32_t> symbols, std::uint32_t alphabet_size) {
+  std::vector<std::uint64_t> hist(alphabet_size, 0);
+  for (auto s : symbols) {
+    NUMARCK_EXPECT(s < alphabet_size, "symbol out of alphabet");
+    ++hist[s];
+  }
+  return hist;
+}
+
 std::vector<std::uint8_t> rans_encode(std::span<const std::uint32_t> symbols,
                                       std::uint32_t alphabet_size,
                                       unsigned ways) {
   NUMARCK_EXPECT(alphabet_size >= 1 && alphabet_size <= kMaxAlphabet,
                  "rans: alphabet size out of range");
+  return rans_encode(symbols, symbol_histogram(symbols, alphabet_size), ways);
+}
+
+std::vector<std::uint8_t> rans_encode(std::span<const std::uint32_t> symbols,
+                                      std::span<const std::uint64_t> hist,
+                                      unsigned ways) {
+  NUMARCK_EXPECT(hist.size() >= 1 && hist.size() <= kMaxAlphabet,
+                 "rans: alphabet size out of range");
+  const auto alphabet_size = static_cast<std::uint32_t>(hist.size());
   NUMARCK_EXPECT(ways == 1 || ways == 2 || ways == 4,
                  "rans: ways must be 1, 2 or 4");
   // Keeps hist * 2^16 inside 64 bits during quantization; no real index
   // stream is within 10 orders of magnitude of this.
   NUMARCK_EXPECT(symbols.size() <= (1ull << 47), "rans: stream too long");
-
-  std::vector<std::uint64_t> hist(alphabet_size, 0);
-  for (auto s : symbols) {
-    NUMARCK_EXPECT(s < alphabet_size, "rans: symbol out of alphabet");
-    ++hist[s];
-  }
+  std::uint64_t hist_total = 0;
   std::size_t used = 0;
-  for (auto h : hist) used += h != 0;
+  for (auto h : hist) {
+    hist_total += h;
+    used += h != 0;
+  }
+  NUMARCK_EXPECT(hist_total == symbols.size(),
+                 "rans: histogram does not match the symbol stream");
 
   util::ByteWriter out;
   out.put_u32(kMagic);
@@ -116,8 +135,6 @@ std::vector<std::uint8_t> rans_encode(std::span<const std::uint32_t> symbols,
 
   const unsigned scale_bits = pick_scale_bits(used);
   const auto freq = quantize_freqs(hist, symbols.size(), scale_bits);
-  std::vector<std::uint32_t> cum(alphabet_size + 1, 0);
-  for (std::uint32_t s = 0; s < alphabet_size; ++s) cum[s + 1] = cum[s] + freq[s];
 
   out.put_u8(static_cast<std::uint8_t>(scale_bits));
   out.put_varint(alphabet_size);
@@ -141,6 +158,36 @@ std::vector<std::uint8_t> rans_encode(std::span<const std::uint32_t> symbols,
     for (std::uint32_t s = 0; s < alphabet_size; ++s) out.put_varint(freq[s]);
   }
 
+  // Per-symbol encode constants. The push needs state / f and state % f;
+  // a 32-bit state divides exactly by a multiply with ceil(2^64 / f)
+  // (Lemire, Kaser & Kurz 2019, Theorem 1: exact for 32-bit numerators and
+  // divisors when the reciprocal has 64 fractional bits). f == 1 has no
+  // 64-bit reciprocal: it stores 2^64 - 1, whose product is one short of
+  // the state, and a +1 bump restores the quotient.
+  struct EncSymbol {
+    std::uint64_t rcp = 0;
+    std::uint64_t x_max = 0;  ///< renormalize while state >= x_max
+    std::uint32_t bump = 0;
+    std::uint32_t freq = 0;
+    std::uint32_t cum = 0;
+  };
+  std::vector<EncSymbol> enc(alphabet_size);
+  std::uint32_t start = 0;
+  for (std::uint32_t s = 0; s < alphabet_size; ++s) {
+    const std::uint32_t f = freq[s];
+    EncSymbol& e = enc[s];
+    e.freq = f;
+    e.cum = start;
+    start += f;
+    if (f == 0) continue;
+    e.rcp = f == 1 ? ~std::uint64_t{0} : ~std::uint64_t{0} / f + 1;
+    e.bump = f == 1 ? 1 : 0;
+    // Renormalizing before the push keeps the post-push state inside
+    // [kLow, kLow * 2^16). 64-bit: f == 2^scale_bits (lone used symbol)
+    // makes this 2^32, which must not wrap to 0.
+    e.x_max = (std::uint64_t{kLow >> scale_bits} << 16) * f;
+  }
+
   // Per-lane reverse encode. Lane k owns symbols k, k + ways, ...; walking
   // the stream backwards visits each lane's symbols in reverse, which is
   // what lets the decoder read every lane strictly forward.
@@ -150,18 +197,24 @@ std::vector<std::uint8_t> rans_encode(std::span<const std::uint32_t> symbols,
   };
   std::vector<LaneEnc> lanes(ways);
   for (std::size_t i = symbols.size(); i-- > 0;) {
-    LaneEnc& lane = lanes[i % ways];
+    LaneEnc& lane = lanes[i & (ways - 1)];
     const std::uint32_t s = symbols[i];
-    const std::uint32_t f = freq[s];
-    // Renormalize before the push so the post-push state stays inside
-    // [kLow, kLow * 2^16). 64-bit: f == 2^scale_bits (lone used symbol)
-    // makes this 2^32, which must not wrap to 0.
-    const std::uint64_t x_max = (std::uint64_t{kLow >> scale_bits} << 16) * f;
-    while (lane.state >= x_max) {
-      lane.words.push_back(static_cast<std::uint16_t>(lane.state));
-      lane.state >>= 16;
+    // A symbol the histogram never counted has no slot (and x_max == 0
+    // would never stop renormalizing).
+    NUMARCK_EXPECT(s < alphabet_size && enc[s].freq != 0,
+                   "rans: symbol missing from the histogram");
+    const EncSymbol& e = enc[s];
+    std::uint32_t x = lane.state;
+    while (x >= e.x_max) {
+      lane.words.push_back(static_cast<std::uint16_t>(x));
+      x >>= 16;
     }
-    lane.state = ((lane.state / f) << scale_bits) + (lane.state % f) + cum[s];
+    // floor(x * rcp / 2^64) from two 32x32 products (x < 2^32).
+    const std::uint64_t q =
+        (((e.rcp >> 32) * x + (((e.rcp & 0xffffffffu) * x) >> 32)) >> 32) +
+        e.bump;
+    lane.state = static_cast<std::uint32_t>((q << scale_bits) +
+                                            (x - q * e.freq) + e.cum);
   }
 
   // Lane frames: final encoder state first (it seeds the decoder), then the
@@ -314,15 +367,21 @@ IndexCoder choose_index_coder(std::span<const std::uint32_t> symbols,
   if (symbols.empty() || (!allow_huffman && !allow_rans)) {
     return IndexCoder::kRaw;
   }
-  const std::uint32_t alphabet = 1u << index_bits;
-  std::vector<std::uint64_t> hist(alphabet, 0);
-  for (auto s : symbols) {
-    NUMARCK_EXPECT(s < alphabet, "symbol out of alphabet");
-    ++hist[s];
-  }
+  return choose_index_coder(symbol_histogram(symbols, 1u << index_bits),
+                            index_bits, allow_huffman, allow_rans);
+}
+
+IndexCoder choose_index_coder(std::span<const std::uint64_t> hist,
+                              unsigned index_bits, bool allow_huffman,
+                              bool allow_rans) {
+  NUMARCK_EXPECT(hist.size() == (std::size_t{1} << index_bits),
+                 "histogram does not span the index alphabet");
+  std::uint64_t count = 0;
+  for (auto h : hist) count += h;
+  if (count == 0 || (!allow_huffman && !allow_rans)) return IndexCoder::kRaw;
   std::size_t used = 0;
   double entropy = 0.0;
-  const auto n = static_cast<double>(symbols.size());
+  const auto n = static_cast<double>(count);
   for (auto h : hist) {
     if (h == 0) continue;
     ++used;
@@ -338,7 +397,7 @@ IndexCoder choose_index_coder(std::span<const std::uint32_t> symbols,
   // Short streams cannot amortize the rANS frequency table + 4 lane seeds;
   // Huffman's 5-bit-length table is far cheaper to ship.
   constexpr std::size_t kMinRansStream = 2048;
-  if (!allow_rans || symbols.size() < kMinRansStream) {
+  if (!allow_rans || count < kMinRansStream) {
     return allow_huffman ? IndexCoder::kHuffman : IndexCoder::kRans;
   }
   return IndexCoder::kRans;

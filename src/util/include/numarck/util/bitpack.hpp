@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "numarck/util/expect.hpp"
@@ -266,8 +267,10 @@ class BitReader {
 std::size_t count_ones(const std::uint8_t* data, std::size_t size_bytes,
                        std::size_t bit_begin, std::size_t bit_end);
 
-/// Packs `values[i] & (2^width-1)` for all i into a fresh byte vector.
-std::vector<std::uint8_t> pack_indices(const std::vector<std::uint32_t>& values,
+/// Packs each of `values` in `width` bits (LSB first) into a fresh byte
+/// vector — the same bytes as a BitWriter pass. Throws ContractViolation
+/// when a value does not fit in `width` bits.
+std::vector<std::uint8_t> pack_indices(std::span<const std::uint32_t> values,
                                        unsigned width);
 
 /// Unpacks `count` width-bit values from `bytes`.

@@ -3,15 +3,19 @@
 // extension).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "numarck/arch/arch.hpp"
 #include "numarck/core/codec.hpp"
+#include "numarck/lossless/fpc.hpp"
 #include "numarck/lossless/huffman.hpp"
 #include "numarck/lossless/rans.hpp"
 #include "numarck/lossless/rle.hpp"
 #include "numarck/util/bitpack.hpp"
+#include "numarck/util/byte_stream.hpp"
+#include "numarck/util/crc32.hpp"
 #include "numarck/util/expect.hpp"
 #include "numarck/util/rng.hpp"
 #include "numarck/util/thread_pool.hpp"
@@ -520,4 +524,372 @@ TEST(Postpass, SerializedBytesIdenticalAcrossIsaLevels) {
     EXPECT_EQ(nk::EncodedIteration::deserialize(bytes).indices, enc.indices)
         << na::to_string(level);
   }
+}
+
+// ---------------------------------------------------------------- golden --
+//
+// Byte pins for Postpass::all(). The records are built field by field (no
+// encoder, no bin learning), so only the postpass coders can move these
+// bytes. The pinned CRC-32 values and sizes were captured from the
+// bit-at-a-time coders; any coder rewrite must reproduce them exactly.
+
+namespace {
+
+/// splitmix64, inlined so the fixture cannot move with util::Pcg32.
+struct FixtureRng {
+  std::uint64_t s;
+  std::uint64_t next() {
+    std::uint64_t z = (s += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+};
+
+/// `n` points: ζ is mostly ones with isolated exact points and one 80-point
+/// exact run that crosses 64-bit words; 90% of the 8-bit indices are 0; the
+/// exact values are smooth, so FPC beats the raw doubles.
+nk::EncodedIteration pinned_record(std::size_t n, std::uint64_t seed) {
+  FixtureRng rng{seed};
+  nk::EncodedIteration e;
+  e.index_bits = 8;
+  e.error_bound = 0.001;
+  e.point_count = n;
+  for (int c = 0; c < 20; ++c) e.centers.push_back(-0.01 + 0.001 * c);
+  numarck::util::BitWriter zeta;
+  std::vector<std::uint32_t> symbols;
+  for (std::size_t j = 0; j < n; ++j) {
+    const bool exact = rng.next() % 64 == 0 || (j >= 120 && j < 200);
+    zeta.put_bit(!exact);
+    if (exact) {
+      e.exact_values.push_back(1.0 + 1e-3 * static_cast<double>(j));
+    } else {
+      const std::uint64_t u = rng.next() % 100;
+      symbols.push_back(u < 90 ? 0u : 1u + static_cast<std::uint32_t>(
+                                                rng.next() % 19));
+    }
+  }
+  e.zeta = zeta.finish();
+  e.indices = numarck::util::pack_indices(symbols, e.index_bits);
+  e.stats.total_points = n;
+  e.stats.binned = symbols.size();
+  e.stats.exact_out_of_bound = e.exact_values.size();
+  return e;
+}
+
+std::uint32_t crc_of(const std::vector<std::uint8_t>& bytes) {
+  return numarck::util::crc32(bytes.data(), bytes.size());
+}
+
+}  // namespace
+
+TEST(PostpassGolden, AllCodersPinned) {
+  struct Pin {
+    std::size_t points;
+    std::uint8_t index_flag;  ///< which index coder the record must pick
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  // 6000 points: > 2048 compressible symbols, rANS. 600: Huffman.
+  const Pin pins[] = {{6000, kRansFlag, 1895, 0x8aa0194cu},
+                      {600, kHuffmanFlag, 691, 0x2b7051b2u}};
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.points);
+    const auto rec = pinned_record(pin.points, 29);
+    const auto bytes = rec.serialize(nk::Postpass::all());
+    ASSERT_GT(bytes.size(), kFlagsOffset);
+    // Every coder is exercised: the index coder, RLE ζ (0x02), FPC (0x04).
+    EXPECT_EQ(bytes[kFlagsOffset], pin.index_flag | 0x02 | 0x04);
+    EXPECT_EQ(bytes.size(), pin.size);
+    EXPECT_EQ(crc_of(bytes), pin.crc) << std::hex << crc_of(bytes);
+    const auto back = nk::EncodedIteration::deserialize(bytes, pin.points);
+    EXPECT_EQ(back.zeta, rec.zeta);
+    EXPECT_EQ(back.indices, rec.indices);
+    EXPECT_EQ(back.exact_values, rec.exact_values);
+  }
+}
+
+TEST(PostpassGolden, StandaloneCodersPinned) {
+  const auto rec = pinned_record(6000, 29);
+  const auto symbols = numarck::util::unpack_indices(
+      rec.indices, rec.index_bits, rec.compressible_count());
+  const struct {
+    const char* name;
+    std::vector<std::uint8_t> bytes;
+    std::size_t size;
+    std::uint32_t crc;
+  } pins[] = {
+      {"rans ways=1", nl::rans_encode(symbols, 256, 1), 687, 0x219558a8u},
+      {"rans ways=2", nl::rans_encode(symbols, 256, 2), 691, 0xc76606dau},
+      {"huffman", nl::huffman_encode(symbols, 256), 1196, 0x3c67701cu},
+      {"rle", nl::rle_encode_bits(rec.zeta, rec.point_count), 196, 0x83643a4du},
+      {"fpc log2=4", nl::fpc_compress(rec.exact_values, {4}), 743, 0x616e48b6u},
+      {"fpc log2=20", nl::fpc_compress(rec.exact_values, {20}), 801, 0x68464fbeu},
+      {"pack width=5", numarck::util::pack_indices(symbols, 5), 3644, 0x3862a017u},
+  };
+  for (const auto& pin : pins) {
+    EXPECT_EQ(pin.bytes.size(), pin.size) << pin.name;
+    EXPECT_EQ(crc_of(pin.bytes), pin.crc)
+        << pin.name << " 0x" << std::hex << crc_of(pin.bytes);
+  }
+}
+
+// ---------------------------------------------------------- differential --
+//
+// The coders run word-wise (RLE runs by countr_zero, packing through a
+// 64-bit accumulator, rANS pushes through a multiply-by-reciprocal). These
+// tests hold them to test-local copies of the bit-at-a-time and dividing
+// coders they replaced, on the shapes where a word-wise loop goes wrong:
+// counts around byte and word edges, runs crossing words, stray bits past
+// the end of the bitmap, and symbols of frequency 1.
+
+namespace {
+
+std::vector<std::uint8_t> reference_rle_encode(
+    std::span<const std::uint8_t> packed, std::size_t bit_count) {
+  numarck::util::ByteWriter out;
+  if (bit_count == 0) {
+    out.put_u8(0);
+    return out.take();
+  }
+  numarck::util::BitReader r(packed.data(), packed.size());
+  bool current = r.get_bit();
+  out.put_u8(current ? 1 : 0);
+  std::uint64_t run = 1;
+  for (std::size_t i = 1; i < bit_count; ++i) {
+    const bool b = r.get_bit();
+    if (b == current) {
+      ++run;
+    } else {
+      out.put_varint(run);
+      current = b;
+      run = 1;
+    }
+  }
+  out.put_varint(run);
+  return out.take();
+}
+
+/// Decodes a stream the encoder produced (no validation).
+std::vector<std::uint8_t> reference_rle_decode(
+    std::span<const std::uint8_t> stream, std::size_t bit_count) {
+  numarck::util::ByteReader in(stream);
+  numarck::util::BitWriter w;
+  bool current = in.get_u8() != 0;
+  for (std::uint64_t produced = 0; produced < bit_count; current = !current) {
+    const std::uint64_t run = in.get_varint();
+    for (std::uint64_t i = 0; i < run; ++i) w.put_bit(current);
+    produced += run;
+  }
+  return w.finish();
+}
+
+std::vector<std::uint8_t> reference_pack(
+    const std::vector<std::uint32_t>& values, unsigned width) {
+  numarck::util::BitWriter w;
+  for (const std::uint32_t v : values) w.put(v, width);
+  return w.finish();
+}
+
+/// Re-encodes the lanes of a rANS stream with the dividing encoder, from
+/// the frequency table the stream itself carries, and returns the lane
+/// frames as they would be written.
+std::vector<std::uint8_t> reference_rans_lanes(
+    std::span<const std::uint8_t> stream,
+    std::span<const std::uint32_t> symbols, std::size_t* lanes_at) {
+  numarck::util::ByteReader r(stream);
+  (void)r.get_u32();
+  const unsigned ways = r.get_u8();
+  const unsigned scale_bits = r.get_u8();
+  const auto alphabet = static_cast<std::uint32_t>(r.get_varint());
+  (void)r.get_varint();
+  std::vector<std::uint32_t> freq(alphabet, 0);
+  if (r.get_u8() == 0) {
+    for (auto& f : freq) f = static_cast<std::uint32_t>(r.get_varint());
+  } else {
+    const std::size_t used = r.get_varint();
+    std::uint64_t s = 0;
+    for (std::size_t u = 0; u < used; ++u, ++s) {
+      s += r.get_varint();
+      freq[s] = static_cast<std::uint32_t>(r.get_varint());
+    }
+  }
+  *lanes_at = r.position();
+  std::vector<std::uint32_t> cum(alphabet + 1, 0);
+  for (std::uint32_t s = 0; s < alphabet; ++s) cum[s + 1] = cum[s] + freq[s];
+  struct Lane {
+    std::uint32_t state = 1u << 16;
+    std::vector<std::uint16_t> words;
+  };
+  std::vector<Lane> lanes(ways);
+  for (std::size_t i = symbols.size(); i-- > 0;) {
+    Lane& lane = lanes[i % ways];
+    const std::uint32_t s = symbols[i];
+    const std::uint32_t f = freq[s];
+    const std::uint64_t x_max =
+        (std::uint64_t{(1u << 16) >> scale_bits} << 16) * f;
+    while (lane.state >= x_max) {
+      lane.words.push_back(static_cast<std::uint16_t>(lane.state));
+      lane.state >>= 16;
+    }
+    lane.state = ((lane.state / f) << scale_bits) + (lane.state % f) + cum[s];
+  }
+  numarck::util::ByteWriter out;
+  for (const Lane& lane : lanes) {
+    out.put_varint(4 + 2 * lane.words.size());
+    out.put_u32(lane.state);
+    for (std::size_t w = lane.words.size(); w-- > 0;) out.put_u16(lane.words[w]);
+  }
+  return out.take();
+}
+
+/// Bitmaps of `bits` bits in several shapes, each with stray set bits past
+/// the end and a spare trailing word, which the encoder must ignore.
+std::vector<std::vector<std::uint8_t>> bitmap_shapes(std::size_t bits,
+                                                     std::uint64_t seed) {
+  numarck::util::Pcg32 rng(seed);
+  std::vector<std::vector<bool>> shapes(5, std::vector<bool>(bits));
+  bool run_value = true;
+  std::size_t run_left = 0;
+  for (std::size_t i = 0; i < bits; ++i) {
+    shapes[0][i] = true;                       // all ones
+    shapes[1][i] = false;                      // all zeros
+    shapes[2][i] = i % 2 == 0;                 // alternating
+    shapes[3][i] = rng.uniform() >= 0.02;      // isolated exact points
+    if (run_left == 0) {                       // runs of 1..200 bits
+      run_value = !run_value;
+      run_left = 1 + rng.bounded(200);
+    }
+    shapes[4][i] = run_value;
+    --run_left;
+  }
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const auto& shape : shapes) {
+    std::vector<std::uint8_t> bytes((bits + 7) / 8 + 8, 0);
+    for (std::size_t i = 0; i < bytes.size() * 8; ++i) {
+      const bool b = i < bits ? shape[i] : rng.uniform() < 0.5;
+      if (b) bytes[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+    }
+    out.push_back(std::move(bytes));
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(PostpassDifferential, RleMatchesBitAtATimeCoder) {
+  for (std::size_t bits : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 65u, 127u, 128u,
+                           129u, 1000u, 4099u}) {
+    for (const auto& bytes : bitmap_shapes(bits, 100 + bits)) {
+      SCOPED_TRACE(bits);
+      const auto enc = nl::rle_encode_bits(bytes, bits);
+      ASSERT_EQ(enc, reference_rle_encode(bytes, bits));
+      const auto dec = nl::rle_decode_bits(enc, bits);
+      EXPECT_EQ(dec, reference_rle_decode(enc, bits));
+      // The decoded bitmap is the input with the bits past the end cleared.
+      std::vector<std::uint8_t> clean(bytes.begin(),
+                                      bytes.begin() + (bits + 7) / 8);
+      if (bits % 8 != 0) {
+        clean.back() &= static_cast<std::uint8_t>((1u << (bits % 8)) - 1);
+      }
+      EXPECT_EQ(dec, clean);
+      // Exactly sized buffers take the partial-word load path.
+      EXPECT_EQ(nl::rle_encode_bits(clean, bits), enc);
+    }
+  }
+}
+
+TEST(PostpassDifferential, RleDecodesLongRunsAcrossWords) {
+  // Runs far longer than a word, starting and ending off byte boundaries.
+  numarck::util::ByteWriter w;
+  w.put_u8(1);
+  const std::uint64_t runs[] = {3, 200, 64, 1, 70000, 5, 129};
+  std::uint64_t total = 0;
+  for (const auto run : runs) {
+    w.put_varint(run);
+    total += run;
+  }
+  const auto stream = w.take();
+  const auto dec = nl::rle_decode_bits(stream, total);
+  EXPECT_EQ(dec, reference_rle_decode(stream, total));
+  EXPECT_EQ(nl::rle_encode_bits(dec, total), stream);
+}
+
+TEST(PostpassDifferential, RleRejectsNonCanonicalStreams) {
+  // Run 1 as a two-byte varint: the same bitmap as {0x00, 0x01}.
+  const std::vector<std::uint8_t> overlong{0x00, 0x81, 0x00};
+  EXPECT_THROW((void)nl::rle_decode_bits(overlong, 1),
+               numarck::ContractViolation);
+  EXPECT_EQ(nl::rle_decode_bits(std::vector<std::uint8_t>{0x00, 0x01}, 1),
+            std::vector<std::uint8_t>{0x00});
+  // The empty bitmap is the single byte 0.
+  EXPECT_THROW((void)nl::rle_decode_bits(std::vector<std::uint8_t>{0x01}, 0),
+               numarck::ContractViolation);
+}
+
+TEST(PostpassDifferential, PackMatchesBitWriter) {
+  numarck::util::Pcg32 rng(77);
+  for (unsigned width = 1; width <= 32; ++width) {
+    for (std::size_t count : {0u, 1u, 2u, 3u, 7u, 8u, 9u, 31u, 33u, 100u,
+                              1001u}) {
+      std::vector<std::uint32_t> values(count);
+      for (auto& v : values) {
+        v = width == 32 ? rng.next() : rng.bounded(1u << width);
+      }
+      const auto packed = numarck::util::pack_indices(values, width);
+      ASSERT_EQ(packed, reference_pack(values, width))
+          << "width=" << width << " count=" << count;
+      EXPECT_EQ(numarck::util::unpack_indices(packed, width, count), values);
+    }
+  }
+  const std::vector<std::uint32_t> too_wide{1, 2, 16};
+  EXPECT_THROW((void)numarck::util::pack_indices(too_wide, 4),
+               numarck::ContractViolation);
+}
+
+TEST(PostpassDifferential, RansLanesMatchDividingEncoder) {
+  std::vector<std::vector<std::uint32_t>> streams;
+  streams.push_back(skewed_symbols(20000, 256, 51));
+  streams.push_back(skewed_symbols(3000, 1u << 11, 53));
+  streams.push_back(std::vector<std::uint32_t>(5000, 9));  // f = 2^M
+  // One dominant symbol and a tail of once-seen symbols: frequency 1.
+  std::vector<std::uint32_t> rare(40000, 0);
+  for (std::uint32_t s = 1; s < 200; ++s) rare[s * 173] = s;
+  streams.push_back(rare);
+  for (const auto& syms : streams) {
+    const std::uint32_t alphabet =
+        *std::max_element(syms.begin(), syms.end()) < 256 ? 256 : 1u << 11;
+    for (unsigned ways : {1u, 2u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "n=" << syms.size() << " ways=" << ways);
+      const auto enc = nl::rans_encode(syms, alphabet, ways);
+      std::size_t lanes_at = 0;
+      const auto lanes = reference_rans_lanes(enc, syms, &lanes_at);
+      ASSERT_EQ(std::vector<std::uint8_t>(enc.begin() + lanes_at, enc.end()),
+                lanes);
+      EXPECT_EQ(nl::rans_decode(enc, syms.size()), syms);
+      // The shared-histogram overload writes the same bytes.
+      const auto hist = nl::symbol_histogram(syms, alphabet);
+      EXPECT_EQ(nl::rans_encode(syms, hist, ways), enc);
+    }
+  }
+}
+
+TEST(PostpassDifferential, SharedHistogramAgreesWithSymbolOverloads) {
+  for (std::size_t n : {0u, 1u, 900u, 3000u, 20000u}) {
+    const auto syms = skewed_symbols(n, 256, 61 + n);
+    const auto hist = nl::symbol_histogram(syms, 256);
+    for (bool huffman : {false, true}) {
+      for (bool rans : {false, true}) {
+        EXPECT_EQ(nl::choose_index_coder(hist, 8, huffman, rans),
+                  nl::choose_index_coder(syms, 8, huffman, rans))
+            << n << huffman << rans;
+      }
+    }
+  }
+  // A histogram that misses a symbol of the stream is rejected rather than
+  // encoded (an unused symbol has no slot to push into).
+  const std::vector<std::uint32_t> syms{1, 1, 2, 3};
+  const std::vector<std::uint64_t> wrong{0, 2, 2, 0};
+  EXPECT_THROW((void)nl::rans_encode(syms, wrong, 2),
+               numarck::ContractViolation);
 }

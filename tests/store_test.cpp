@@ -839,6 +839,35 @@ nk::CompressedStep forge_bspline_point_count() {
   return step_of(numarck::codec::kBsplineId, false, w.take());
 }
 
+/// NUMARCK delta that claims 2^24 points against the kForgedPoints-point
+/// reference: a valid Postpass::all() record whose point count and RLE ζ
+/// stream (one zero run) were rewritten to match each other. Structurally
+/// it fails only after its 2 MiB ζ bitmap is built.
+nk::CompressedStep forge_numarck_point_count_past_reference() {
+  constexpr std::uint64_t kClaimed = std::uint64_t{1} << 24;
+  const auto bytes = numarck_delta(nk::Postpass::all());
+  numarck::util::ByteReader r(bytes);
+  numarck::util::ByteWriter w;
+  w.put_u32(r.get_u32());                   // magic
+  w.put_u8(r.get_u8());                     // index_bits
+  w.put_u8(r.get_u8());                     // strategy
+  w.put_u8(r.get_u8());                     // predictor
+  const std::uint8_t flags = r.get_u8();
+  EXPECT_TRUE(flags & 0x02) << "fixture did not RLE-code the ζ bitmap";
+  w.put_u8(flags);
+  w.put_f64(r.get_f64());                   // error bound
+  (void)r.get_varint();
+  w.put_varint(kClaimed);                   // point count
+  w.put_vector(r.get_vector<double>());     // centers
+  (void)r.get_vector<std::uint8_t>();
+  numarck::util::ByteWriter zeta;
+  zeta.put_u8(0);
+  zeta.put_varint(kClaimed);
+  w.put_vector(zeta.take());                // ζ stream
+  w.put_bytes(bytes.data() + r.position(), r.remaining());
+  return step_of(numarck::codec::kNumarckId, false, w.take());
+}
+
 struct Forgery {
   const char* name;
   nk::CompressedStep (*forge)();
@@ -915,4 +944,34 @@ TEST(ForgedRecord, StoreGetRejectsEveryForgery) {
     expect_rejected([&] { (void)s.get(1); }, f.reason);
     expect_rejected([&] { (void)s.get_variable(kVar, 1); }, f.reason);
   }
+}
+
+TEST(ForgedRecord, DeltaPointCountBoundedByItsReference) {
+  // Chain replay reads records CRC-checked only, so the decoder is handed
+  // no point count; the reference it decodes against is the bound. A delta
+  // claiming more points must be rejected from its header, on both
+  // restore paths, before any bitmap is sized from the claim.
+  constexpr const char* kReason = "point count exceeds caller bound";
+  {
+    StoreDir t("point_count_past_reference");
+    fs::create_directories(t.dir);
+    const std::string path = t.dir + "/forged.ckpt";
+    {
+      nio::CheckpointWriter w(path, {kVar});
+      w.append(kVar, 0, 0.0, valid_full());
+      w.append(kVar, 1, 1.0, forge_numarck_point_count_past_reference());
+      w.close();
+    }
+    const nio::CheckpointReader reader(path);
+    const nio::RestartEngine engine(reader);
+    EXPECT_EQ(engine.reconstruct_variable(kVar, 0), skewed_pair().first);
+    expect_rejected([&] { (void)engine.reconstruct_variable(kVar, 1); },
+                    kReason);
+  }
+  StoreDir t("point_count_past_reference_store");
+  ns::CheckpointStore s(t.dir, {kVar});
+  s.put(0, 0.0, {{kVar, valid_full()}});
+  s.put(1, 1.0, {{kVar, forge_numarck_point_count_past_reference()}});
+  expect_rejected([&] { (void)s.get(1); }, kReason);
+  expect_rejected([&] { (void)s.get_variable(kVar, 1); }, kReason);
 }
