@@ -1,15 +1,17 @@
-// Fuzz target: the dispatched bit-unpack/popcount kernels.
+// Fuzz target: the bit-unpack and popcount loops.
 //
 // The input's first bytes forge a bit offset, a width (deliberately allowed
-// to be out of [1,32]) and a count; the remainder is the bit stream. Every
-// dispatch level the host supports runs the same unpack and count_ones
-// calls: each must either serve the request entirely from in-range bytes or
-// throw ContractViolation, and all levels must agree bit-for-bit with the
-// scalar reference — including on WHETHER they threw. A divergence traps.
+// to be out of [1,32]) and a count; the remainder is the bit stream. The
+// production util::unpack_indices / util::count_ones and their narrow
+// references in tests/kernel_reference.hpp run the same calls: each must
+// either serve the request entirely from in-range bytes or throw
+// ContractViolation, and the two must agree bit for bit — including on
+// WHETHER they threw. A divergence traps.
 #include <cstdint>
 #include <vector>
 
-#include "numarck/arch/arch.hpp"
+#include "kernel_reference.hpp"
+#include "numarck/util/bitpack.hpp"
 #include "numarck/util/expect.hpp"
 
 namespace {
@@ -19,14 +21,14 @@ struct UnpackResult {
   std::vector<std::uint32_t> values;
 };
 
-UnpackResult run_unpack(const numarck::arch::Kernels& k,
-                        const std::uint8_t* bytes, std::size_t size,
-                        std::size_t offset, unsigned width,
+template <typename Unpack>
+UnpackResult run_unpack(Unpack unpack, const std::uint8_t* bytes,
+                        std::size_t size, std::size_t offset, unsigned width,
                         std::size_t count) {
   UnpackResult r;
   r.values.assign(count, 0xDEADBEEFu);
   try {
-    k.unpack(bytes, size, offset, width, r.values.data(), count);
+    unpack(bytes, size, offset, width, r.values.data(), count);
   } catch (const numarck::ContractViolation&) {
     r.threw = true;
     r.values.clear();
@@ -49,17 +51,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const std::uint8_t* stream = data + 6;
   const std::size_t stream_size = size - 6;
 
-  const auto levels = numarck::arch::available_levels();
-  const numarck::arch::Level active = numarck::arch::active_level();
-
-  std::vector<std::pair<numarck::arch::Level, numarck::arch::Kernels>> tables;
-  for (const numarck::arch::Level level : levels) {
-    numarck::arch::force_level(level);
-    tables.emplace_back(level, numarck::arch::active());
-  }
-  numarck::arch::force_level(active);
-
-  const UnpackResult ref = run_unpack(tables.front().second, stream,
+  const UnpackResult ref = run_unpack(numarck::reference::unpack, stream,
                                       stream_size, offset, width, count);
   if (!ref.threw) {
     // A successful unpack implies the whole range was in bounds.
@@ -69,21 +61,22 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       if (width < 32 && v >= (1u << width)) __builtin_trap();
     }
   }
+  const UnpackResult got =
+      run_unpack([](const std::uint8_t* b, std::size_t n, std::size_t off,
+                    unsigned w, std::uint32_t* out, std::size_t c) {
+        numarck::util::unpack_indices(b, n, off, w, out, c);
+      },
+                 stream, stream_size, offset, width, count);
+  if (got.threw != ref.threw) __builtin_trap();
+  if (got.values != ref.values) __builtin_trap();
+
   const std::size_t total_bits = stream_size * 8;
   const std::size_t begin = offset <= total_bits ? offset : total_bits;
   const std::size_t end =
       begin + count <= total_bits ? begin + count : total_bits;
-  const std::size_t ref_ones =
-      tables.front().second.count_ones(stream, stream_size, begin, end);
-
-  for (const auto& [level, k] : tables) {
-    const UnpackResult got =
-        run_unpack(k, stream, stream_size, offset, width, count);
-    if (got.threw != ref.threw) __builtin_trap();
-    if (got.values != ref.values) __builtin_trap();
-    if (k.count_ones(stream, stream_size, begin, end) != ref_ones) {
-      __builtin_trap();
-    }
+  if (numarck::util::count_ones(stream, stream_size, begin, end) !=
+      numarck::reference::count_ones(stream, stream_size, begin, end)) {
+    __builtin_trap();
   }
   return 0;
 }

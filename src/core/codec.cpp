@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstring>
 
-#include "numarck/arch/arch.hpp"
 #include "numarck/util/bitpack.hpp"
 #include "numarck/util/expect.hpp"
 #include "numarck/util/parallel_for.hpp"
@@ -35,18 +34,15 @@ namespace numarck::core {
 // chunk's index/exact cursors from the same prefix sums, then chunks decode
 // concurrently.
 //
-// The per-point loops dispatch through numarck::arch — SIMD where the CPU
-// has it, the scalar reference otherwise. Every kernel table is bit-identical
-// (see arch.hpp), so the containers and stats do not depend on the selected
-// ISA any more than they depend on the thread count.
+// The two per-point loops, classify_span and decode_span, are plain
+// portable code (detail:: in codec.hpp so the kernel tests can reach them).
 
 namespace {
 
-// Final per-point labels, shared with the arch kernels. Index values occupy
-// [0, 2^16 - 1] (index_bits is at most 16), so the markers can never collide
-// with a real index.
-using arch::kLabelExact;     // ζ = 0, value escapes
-using arch::kLabelNeedsBin;  // transient: pass A2
+// Final per-point labels. Index values occupy [0, 2^16 - 1] (index_bits is
+// at most 16), so the markers can never collide with a real index.
+constexpr std::uint32_t kLabelExact = 0xFFFFFFFFu;     // ζ = 0, value escapes
+constexpr std::uint32_t kLabelNeedsBin = 0xFFFFFFFEu;  // transient: pass A2
 
 /// Eq. 1 for one point. Callers on needs-bin labels are guaranteed a finite
 /// result: classify_points already exact-escaped zero-denominator and
@@ -56,12 +52,12 @@ inline double change_ratio_at(std::span<const double> previous,
   return (current[j] - previous[j]) / previous[j];
 }
 
-using ClassifyStats = arch::ClassifySpanStats;
+using detail::ClassifyStats;
 
 /// Pass A1: model-free classification. Labels every point as index 0
 /// (small-value or below-threshold), exact (undefined ratio) or needs-bin;
 /// the needs-bin points are exactly the learn-set candidates. Each block
-/// runs the fused change-ratio + classify kernel; the stats reduce over
+/// runs the fused change-ratio + classify loop; the stats reduce over
 /// util::block_reduce's fixed blocks, so err_sum — stored in the record as
 /// mean_ratio_error — rounds the same at every pool size.
 ClassifyStats classify_points(std::span<const double> previous,
@@ -72,12 +68,12 @@ ClassifyStats classify_points(std::span<const double> previous,
   labels.resize(n);
   const double E = opts.error_bound;
   const double small = opts.resolved_small_value_threshold();
-  const auto& kernels = arch::active();
   return util::block_reduce<ClassifyStats>(
       pool, 0, n, ClassifyStats{},
       [&](std::size_t i0, std::size_t i1) {
-        return kernels.classify(previous.data() + i0, current.data() + i0,
-                                labels.data() + i0, i1 - i0, E, small);
+        return detail::classify_span(previous.data() + i0,
+                                     current.data() + i0, labels.data() + i0,
+                                     i1 - i0, E, small);
       },
       [](ClassifyStats a, const ClassifyStats& b) {
         a.small += b.small;
@@ -141,64 +137,38 @@ struct AssignStats {
   double err_max = 0.0;
 };
 
-/// Points per assign/ratio block: small enough for the ratio scratch to sit
-/// in L1, large enough to amortize the density scan.
-constexpr std::size_t kAssignBlock = 128;
-
 /// Pass A2: resolves every needs-bin label to a bin index (via the O(1)
 /// lookup) or an exact escape when the nearest center misses the bound. This
 /// is the pass that preserves the per-point error bound under sampling: it
 /// re-checks every point against the bound regardless of whether its ratio
-/// was in the (possibly sampled) learn set.
-///
-/// The divides are blocked through the wide change-ratio kernel when a block
-/// is dense with needs-bin points; the ratio of a needs-bin point is the
-/// same IEEE divide either way (previous != 0 is guaranteed by pass A1), so
-/// the path choice cannot change a single bit of output. Lookup and bound
-/// check stay scalar per point — BinLookup's repair step is already O(1).
-/// The stats reduce over the same fixed blocks as pass A1.
+/// was in the (possibly sampled) learn set. BinLookup's repair step keeps
+/// the lookup O(1); the stats reduce over the same fixed blocks as pass A1.
 AssignStats assign_bins(std::span<const double> previous,
                         std::span<const double> current, const BinModel& model,
                         double error_bound, util::ThreadPool& pool,
                         std::vector<std::uint32_t>& labels) {
   const BinLookup lookup(model);
   const bool have_model = !model.empty();
-  const auto& kernels = arch::active();
   return util::block_reduce<AssignStats>(
       pool, 0, labels.size(), AssignStats{},
       [&](std::size_t i0, std::size_t i1) {
         AssignStats s;
-        double ratios[kAssignBlock];
-        for (std::size_t b = i0; b < i1; b += kAssignBlock) {
-          const std::size_t m = std::min(kAssignBlock, i1 - b);
-          std::size_t nb = 0;
-          for (std::size_t j = b; j < b + m; ++j) {
-            nb += labels[j] == kLabelNeedsBin;
-          }
-          if (nb == 0) continue;
-          const bool dense = have_model && 2 * nb >= m;
-          if (dense) {
-            kernels.change_ratios(previous.data() + b, current.data() + b,
-                                  ratios, m);
-          }
-          for (std::size_t j = b; j < b + m; ++j) {
-            if (labels[j] != kLabelNeedsBin) continue;
-            if (have_model) {
-              const double r =
-                  dense ? ratios[j - b] : change_ratio_at(previous, current, j);
-              const std::size_t c = lookup.nearest(r);
-              const double err = std::abs(model.centers[c] - r);
-              if (err <= error_bound) {
-                labels[j] = static_cast<std::uint32_t>(c + 1);
-                ++s.binned;
-                s.err_sum += err;
-                s.err_max = std::max(s.err_max, err);
-                continue;
-              }
+        for (std::size_t j = i0; j < i1; ++j) {
+          if (labels[j] != kLabelNeedsBin) continue;
+          if (have_model) {
+            const double r = change_ratio_at(previous, current, j);
+            const std::size_t c = lookup.nearest(r);
+            const double err = std::abs(model.centers[c] - r);
+            if (err <= error_bound) {
+              labels[j] = static_cast<std::uint32_t>(c + 1);
+              ++s.binned;
+              s.err_sum += err;
+              s.err_max = std::max(s.err_max, err);
+              continue;
             }
-            labels[j] = kLabelExact;
-            ++s.out_of_bound;
           }
+          labels[j] = kLabelExact;
+          ++s.out_of_bound;
         }
         return s;
       },
@@ -316,6 +286,119 @@ EncodedIteration finish_encode(std::span<const double> previous,
 
 }  // namespace
 
+namespace detail {
+
+ClassifyStats classify_span(const double* previous, const double* current,
+                            std::uint32_t* labels, std::size_t n,
+                            double error_bound, double small_threshold) {
+  ClassifyStats s;
+  for (std::size_t j = 0; j < n; ++j) {
+    // Small-value rule (Algorithm 1 line 5): both sides below the absolute
+    // threshold -> "unchanged", index 0.
+    if (small_threshold > 0.0 && std::abs(current[j]) < small_threshold &&
+        std::abs(previous[j]) <= small_threshold) {
+      labels[j] = 0;
+      ++s.small;
+      continue;
+    }
+    // Paper rule: zero denominator -> store exactly; extended to any
+    // non-finite ratio so the compressor is total on junk input.
+    if (previous[j] == 0.0) {
+      labels[j] = kLabelExact;
+      ++s.undefined;
+      continue;
+    }
+    const double r = (current[j] - previous[j]) / previous[j];
+    if (!std::isfinite(r)) {
+      labels[j] = kLabelExact;
+      ++s.undefined;
+      continue;
+    }
+    const double mag = std::abs(r);
+    if (mag < error_bound) {
+      labels[j] = 0;
+      ++s.below;
+      s.err_sum += mag;  // approximated ratio is exactly 0
+      s.err_max = std::max(s.err_max, mag);
+      continue;
+    }
+    labels[j] = kLabelNeedsBin;
+    ++s.needs_bin;
+  }
+  return s;
+}
+
+void decode_span(const double* previous, const EncodedIteration& enc,
+                 std::size_t i0, std::size_t i1, std::size_t comp_before,
+                 double* out) {
+  const std::uint8_t* zeta = enc.zeta.data();
+  const std::uint8_t* indices = enc.indices.data();
+  const std::size_t indices_size = enc.indices.size();
+  const double* centers = enc.centers.data();
+  const std::size_t center_count = enc.centers.size();
+  const double* exact = enc.exact_values.data();
+  const unsigned B = enc.index_bits;
+  const std::uint64_t mask = B == 32 ? 0xffffffffull : ((1ull << B) - 1);
+  std::size_t exact_pos = i0 - comp_before;
+  std::size_t index_bit = comp_before * B;
+
+  // Point by point: the unaligned head and tail, and mixed ζ bytes.
+  const auto decode_run = [&](std::size_t j0, std::size_t j1) {
+    for (std::size_t j = j0; j < j1; ++j) {
+      if (((zeta[j >> 3] >> (j & 7)) & 1u) == 0) {
+        out[j] = exact[exact_pos++];
+        continue;
+      }
+      const std::uint32_t i =
+          util::read_bits_at(indices, indices_size, index_bit, B, mask);
+      index_bit += B;
+      if (i == 0) {
+        out[j] = previous[j];  // |ΔD| < E: carry the previous value
+      } else {
+        NUMARCK_EXPECT(i <= center_count, "decode: index out of table");
+        out[j] = previous[j] * (1.0 + centers[i - 1]);
+      }
+    }
+  };
+
+  const std::size_t head = std::min(i1, (i0 + 7) & ~std::size_t{7});
+  decode_run(i0, head);
+  std::size_t j = head;
+  for (; j + 8 <= i1; j += 8) {
+    const std::uint8_t z = zeta[j >> 3];
+    if (z == 0x00) {  // 8 exact values
+      std::memcpy(out + j, exact + exact_pos, 8 * sizeof(double));
+      exact_pos += 8;
+    } else if (z == 0xFF) {  // 8 indices
+      std::uint32_t idx[8];
+      std::uint32_t top = 0;
+      for (unsigned k = 0; k < 8; ++k) {
+        idx[k] = util::read_bits_at(indices, indices_size, index_bit, B, mask);
+        index_bit += B;
+        top = std::max(top, idx[k]);
+      }
+      NUMARCK_EXPECT(top <= center_count, "decode: index out of table");
+      if (top == 0) {
+        std::memcpy(out + j, previous + j, 8 * sizeof(double));
+        continue;
+      }
+      // Branch-free lanes: index 0 selects `previous` itself, so it is
+      // carried bit for bit (NaN payloads included).
+      for (unsigned k = 0; k < 8; ++k) {
+        const std::uint32_t i = idx[k];
+        const double pv = previous[j + k];
+        const double scaled = pv * (1.0 + centers[i != 0 ? i - 1 : 0]);
+        out[j + k] = i == 0 ? pv : scaled;
+      }
+    } else {
+      decode_run(j, j + 8);
+    }
+  }
+  decode_run(j, i1);
+}
+
+}  // namespace detail
+
 EncodedIteration encode_iteration(std::span<const double> previous,
                                   std::span<const double> current,
                                   const Options& opts) {
@@ -361,7 +444,6 @@ std::vector<double> decode_iteration(std::span<const double> previous,
   auto& tp = pool ? *pool : util::ThreadPool::global();
   const std::size_t n = enc.point_count;
   std::vector<double> out(n);
-  const auto& kernels = arch::active();
 
   // One validated span path for every thread count: a popcount pass over ζ
   // rebuilds the per-chunk compressible counts the encoder packed with, the
@@ -372,7 +454,7 @@ std::vector<double> decode_iteration(std::span<const double> previous,
   std::vector<std::size_t> comp_before(plan.chunks);
   util::parallel_chunks(tp, plan,
                         [&](std::size_t c, std::size_t i0, std::size_t i1) {
-                          comp_before[c] = kernels.count_ones(
+                          comp_before[c] = util::count_ones(
                               enc.zeta.data(), enc.zeta.size(), i0, i1);
                         });
   std::size_t total_comp = 0;
@@ -391,23 +473,8 @@ std::vector<double> decode_iteration(std::span<const double> previous,
   }
   util::parallel_chunks(
       tp, plan, [&](std::size_t c, std::size_t i0, std::size_t i1) {
-        arch::DecodeSpan span;
-        span.previous = previous.data();
-        span.out = out.data();
-        span.i0 = i0;
-        span.i1 = i1;
-        span.zeta = enc.zeta.data();
-        span.zeta_size = enc.zeta.size();
-        span.indices = enc.indices.data();
-        span.indices_size = enc.indices.size();
-        span.index_bit_offset = comp_before[c] * enc.index_bits;
-        span.centers = enc.centers.data();
-        span.center_count = enc.centers.size();
-        span.exact = enc.exact_values.data();
-        span.exact_size = enc.exact_values.size();
-        span.exact_pos = i0 - comp_before[c];
-        span.index_bits = enc.index_bits;
-        kernels.decode_span(span);
+        detail::decode_span(previous.data(), enc, i0, i1, comp_before[c],
+                            out.data());
       });
   return out;
 }

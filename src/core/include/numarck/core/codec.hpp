@@ -21,6 +21,8 @@
 // path kept as the single-worker reference.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -55,5 +57,40 @@ EncodedIteration encode_iteration_with_model(std::span<const double> previous,
 std::vector<double> decode_iteration(std::span<const double> previous,
                                      const EncodedIteration& enc,
                                      util::ThreadPool* pool = nullptr);
+
+namespace detail {
+
+// The two per-point loops of the codec, exposed so the kernel tests and
+// fuzzers can check them against the narrow reference loops.
+
+/// Per-span counts of the classify pass; fields match IterationStats.
+/// err_sum accumulates in point order.
+struct ClassifyStats {
+  std::size_t small = 0;
+  std::size_t below = 0;
+  std::size_t undefined = 0;
+  std::size_t needs_bin = 0;
+  double err_sum = 0.0;
+  double err_max = 0.0;
+};
+
+/// The encoder's classify pass over n points: labels[j] becomes 0
+/// (small-value or below-threshold), 0xFFFFFFFF (exact: zero previous or
+/// non-finite ratio) or 0xFFFFFFFE (needs a bin). `small_threshold` <= 0
+/// disables the small-value rule.
+ClassifyStats classify_span(const double* previous, const double* current,
+                            std::uint32_t* labels, std::size_t n,
+                            double error_bound, double small_threshold);
+
+/// Decodes points [i0, i1) of `enc` into out[i0, i1), where `comp_before`
+/// is the number of compressible points before i0 (the ζ popcount up to
+/// i0). The stream lengths must already be validated against ζ, as
+/// decode_iteration does; an index past the center table throws
+/// ContractViolation.
+void decode_span(const double* previous, const EncodedIteration& enc,
+                 std::size_t i0, std::size_t i1, std::size_t comp_before,
+                 double* out);
+
+}  // namespace detail
 
 }  // namespace numarck::core

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstring>
 
-#include "numarck/arch/arch.hpp"
 #include "numarck/util/byte_stream.hpp"
 #include "numarck/util/expect.hpp"
 
@@ -137,8 +136,21 @@ void PredictorTables::release(std::span<const double> values) {
 
 /// Residual bytes stored per 3-bit code: FPC's code maps to
 /// {0,1,2,3,5,6,7,8} leading zero bytes (4 is not representable), the
-/// inverse of the arch kernels' lzb_to_code.
+/// inverse of lzb_to_code.
 constexpr unsigned kStoredBytes[8] = {8, 7, 6, 5, 3, 2, 1, 0};
+
+/// Leading zero bytes of x, 0..8, with no zero test that could compile to
+/// a branch.
+unsigned leading_zero_bytes(std::uint64_t x) {
+  return static_cast<unsigned>(std::countl_zero(x | 1u)) / 8 +
+         static_cast<unsigned>(x == 0);
+}
+
+/// The 3-bit code of a leading-zero-byte count 0..8: a count of 4 is
+/// demoted to 3 (one extra residual byte), as in the original encoder.
+unsigned lzb_to_code(unsigned lzb) {
+  return lzb - static_cast<unsigned>(lzb >= 4);
+}
 
 /// Values per compress block: the scratch arrays stay L1-resident.
 constexpr std::size_t kFpcBlock = 256;
@@ -161,6 +173,27 @@ unsigned nibble_at(const std::uint8_t* header, std::size_t i) {
 
 }  // namespace
 
+namespace detail {
+
+void fpc_xor_lzc(const std::uint64_t* values, const std::uint64_t* pred_fcm,
+                 const std::uint64_t* pred_dfcm, std::size_t n,
+                 std::uint64_t* xr, std::uint8_t* nibble) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t x_fcm = values[i] ^ pred_fcm[i];
+    const std::uint64_t x_dfcm = values[i] ^ pred_dfcm[i];
+    const unsigned lzb_fcm = leading_zero_bytes(x_fcm);
+    const unsigned lzb_dfcm = leading_zero_bytes(x_dfcm);
+    // DFCM only when strictly better. The pick is unpredictable on noisy
+    // values, so it is applied with masks rather than a branch.
+    const unsigned use_dfcm = lzb_dfcm > lzb_fcm ? 1u : 0u;
+    const unsigned lzb = lzb_fcm + ((lzb_dfcm - lzb_fcm) & (0u - use_dfcm));
+    xr[i] = x_fcm ^ ((x_fcm ^ x_dfcm) & (0 - std::uint64_t{use_dfcm}));
+    nibble[i] = static_cast<std::uint8_t>(use_dfcm | (lzb_to_code(lzb) << 1));
+  }
+}
+
+}  // namespace detail
+
 std::vector<std::uint8_t> fpc_compress(std::span<const double> values,
                                        const FpcOptions& opts) {
   NUMARCK_EXPECT(opts.table_log2 >= 4 && opts.table_log2 <= 24,
@@ -172,15 +205,14 @@ std::vector<std::uint8_t> fpc_compress(std::span<const double> values,
   std::vector<std::uint8_t> header((values.size() + 1) / 2, 0);
   std::vector<std::uint8_t> residual;
   residual.reserve(values.size() * 4);
-  const auto& kernels = numarck::arch::active();
 
   // Blocked three-stage loop. The predictor tables advance on every true
-  // value, so predictions must be drawn serially — but once both predictions
-  // per value are materialized, selecting the better residual (XOR +
-  // leading-zero-byte count) is data-parallel and runs through the wide
-  // kernel. The kernel's nibble is use_dfcm | code << 1, the header entry.
-  // Each residual is stored as a whole word and the cursor advances by its
-  // stored bytes, so the next store overwrites the zero high bytes.
+  // value, so predictions must be drawn serially; that loop is kept small so
+  // many of its table loads are in flight at once. Selecting the better
+  // residual is then a separate pass over the block, and its nibble is the
+  // header entry. Each residual is stored as a whole word and the cursor
+  // advances by its stored bytes, so the next store overwrites the zero
+  // high bytes.
   std::uint64_t vbuf[kFpcBlock];
   std::uint64_t pf[kFpcBlock];
   std::uint64_t pd[kFpcBlock];
@@ -196,13 +228,13 @@ std::vector<std::uint8_t> fpc_compress(std::span<const double> values,
       pd[i] = pred.predict_dfcm();
       pred.update(v);
     }
-    kernels.fpc_xor_lzc(vbuf, pf, pd, m, xr, nib);
+    detail::fpc_xor_lzc(vbuf, pf, pd, m, xr, nib);
     std::size_t rlen = 0;
     for (std::size_t i = 0; i < m; ++i) {
       const std::size_t at = base + i;
       header[at >> 1] |= static_cast<std::uint8_t>(nib[i] << ((at & 1) * 4));
       store_le64(rbuf + rlen, xr[i]);
-      rlen += kStoredBytes[(nib[i] >> 1) & 7u];
+      rlen += kStoredBytes[nib[i] >> 1];
     }
     residual.insert(residual.end(), rbuf, rbuf + rlen);
   }

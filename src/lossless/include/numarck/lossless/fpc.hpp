@@ -49,4 +49,15 @@ inline std::size_t fpc_compressed_bytes(const std::vector<std::uint8_t>& s) {
   return s.size();
 }
 
+namespace detail {
+
+/// fpc_compress's selection pass, exposed for the kernel tests: xr[i] is
+/// the better predictor residual of values[i] and nibble[i] its 4-bit
+/// header entry (bit 0 = use_dfcm, bits 1..3 = the leading-zero-byte code).
+void fpc_xor_lzc(const std::uint64_t* values, const std::uint64_t* pred_fcm,
+                 const std::uint64_t* pred_dfcm, std::size_t n,
+                 std::uint64_t* xr, std::uint8_t* nibble);
+
+}  // namespace detail
+
 }  // namespace numarck::lossless

@@ -15,8 +15,8 @@
 // is an independent rANS stream encoded in reverse so the decoder reads all
 // lanes forward, round-robin — the per-symbol dependency chain splits into
 // `ways` independent chains, which is what buys the multi-way decoder its
-// throughput (the hot loop lives in the numarck_arch kernel table as
-// `rans_decode`, so wider ISAs can specialize it).
+// throughput (detail::rans_decode_lanes keeps each lane's state in a local
+// across an unrolled round, so the chains retire in parallel).
 //
 // Format: docs/FORMAT.md §9.
 #pragma once
@@ -60,6 +60,36 @@ std::vector<std::uint64_t> symbol_histogram(
 /// floor is non-zero.
 std::vector<std::uint32_t> rans_decode(std::span<const std::uint8_t> stream,
                                        std::size_t max_count);
+
+namespace detail {
+
+/// rANS decode table (FORMAT.md §9), built and validated by rans_decode:
+/// slot_symbol maps each of the 1 << scale_bits slots to its symbol;
+/// freq/cum are per symbol, with cum[s] <= slot < cum[s] + freq[s] for
+/// every slot mapped to s.
+struct RansDecodeTable {
+  const std::uint16_t* slot_symbol = nullptr;  ///< 1 << scale_bits entries
+  const std::uint32_t* freq = nullptr;         ///< per symbol
+  const std::uint32_t* cum = nullptr;          ///< per symbol
+  unsigned scale_bits = 12;
+};
+
+/// One interleave lane: a 32-bit state plus a forward byte cursor over the
+/// lane's 16-bit little-endian renormalization words.
+struct RansLane {
+  std::uint32_t state = 0;
+  const std::uint8_t* cur = nullptr;
+  const std::uint8_t* end = nullptr;
+};
+
+/// rans_decode's hot loop, exposed for the kernel fuzzer: decodes `count`
+/// symbols round-robin from `ways` lanes (symbol i from lane i % ways;
+/// 1 <= ways <= 4), updating lane states and cursors in place. Throws
+/// ContractViolation when a lane's words run out before `count` symbols.
+void rans_decode_lanes(const RansDecodeTable& table, RansLane* lanes,
+                       unsigned ways, std::uint32_t* out, std::size_t count);
+
+}  // namespace detail
 
 /// Which coder the adaptive postpass policy picked for an index stream.
 enum class IndexCoder : std::uint8_t {

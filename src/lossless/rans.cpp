@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "numarck/arch/arch.hpp"
 #include "numarck/util/byte_stream.hpp"
 #include "numarck/util/expect.hpp"
 
@@ -19,8 +18,8 @@ constexpr std::uint32_t kMagic = 0x31534E52u;  // "RNS1"
 /// State floor / renormalization base. States live in [kLow, kLow * 2^16);
 /// encode emits one 16-bit word whenever the next symbol would push the
 /// state past the ceiling, decode refills one word whenever a step drops
-/// below the floor. Must match arch::detail::kRansLow — the value is part
-/// of the wire format (FORMAT.md §9), not a tuning knob.
+/// below the floor. The value is part of the wire format (FORMAT.md §9),
+/// not a tuning knob.
 constexpr std::uint32_t kLow = 1u << 16;
 
 /// scale_bits (the quantized-histogram precision M) the format accepts.
@@ -287,7 +286,7 @@ std::vector<std::uint32_t> rans_decode(std::span<const std::uint8_t> stream,
 
   // Lane frames: sizes first, payload bounds-checked before any decode
   // allocation. A lane is its 4-byte seed state plus whole 16-bit words.
-  std::array<arch::RansLane, kRansMaxWays> lanes{};
+  std::array<detail::RansLane, kRansMaxWays> lanes{};
   std::uint64_t payload_bits = 0;
   for (unsigned k = 0; k < ways; ++k) {
     const std::size_t size = in.get_varint();
@@ -329,14 +328,14 @@ std::vector<std::uint32_t> rans_decode(std::span<const std::uint8_t> stream,
               static_cast<std::uint16_t>(s));
   }
 
-  arch::RansDecodeTable table;
+  detail::RansDecodeTable table;
   table.slot_symbol = slot_symbol.data();
   table.freq = freq.data();
   table.cum = cum.data();
   table.scale_bits = scale_bits;
 
   std::vector<std::uint32_t> out(count);
-  arch::active().rans_decode(table, lanes.data(), ways, out.data(), count);
+  detail::rans_decode_lanes(table, lanes.data(), ways, out.data(), count);
 
   // Post-decode integrity: every lane must land exactly on the encoder's
   // initial state with its word stream fully consumed. This pins the whole
@@ -348,6 +347,63 @@ std::vector<std::uint32_t> rans_decode(std::span<const std::uint8_t> stream,
   }
   return out;
 }
+
+namespace {
+
+/// One decode step against `t`, refilling `lane` from its word stream when
+/// the state drops below kLow: the division-free 32/16 rANS transform.
+inline std::uint32_t rans_step(const detail::RansDecodeTable& t,
+                               detail::RansLane& lane) {
+  const std::uint32_t mask = (1u << t.scale_bits) - 1u;
+  const std::uint32_t slot = lane.state & mask;
+  const std::uint32_t s = t.slot_symbol[slot];
+  lane.state = t.freq[s] * (lane.state >> t.scale_bits) + slot - t.cum[s];
+  if (lane.state < kLow) {
+    NUMARCK_EXPECT(lane.end - lane.cur >= 2,
+                   "rans: lane stream exhausted mid-renormalization");
+    const std::uint32_t w = static_cast<std::uint32_t>(lane.cur[0]) |
+                            (static_cast<std::uint32_t>(lane.cur[1]) << 8);
+    lane.cur += 2;
+    lane.state = (lane.state << 16) | w;
+  }
+  return s;
+}
+
+/// kWays lanes held in locals across an unrolled round, so the per-lane
+/// dependency chains retire in parallel. The lanes are written back on every
+/// exit, the throwing one included, so the in-place contract holds.
+template <unsigned kWays>
+void decode_unrolled(const detail::RansDecodeTable& t,
+                     detail::RansLane* lanes, std::uint32_t* out,
+                     std::size_t count) {
+  std::array<detail::RansLane, kWays> local;
+  std::copy_n(lanes, kWays, local.begin());
+  struct WriteBack {
+    detail::RansLane* to;
+    const std::array<detail::RansLane, kWays>& from;
+    ~WriteBack() { std::copy(from.begin(), from.end(), to); }
+  } write_back{lanes, local};
+  std::size_t i = 0;
+  for (; i + kWays <= count; i += kWays) {
+    for (unsigned k = 0; k < kWays; ++k) out[i + k] = rans_step(t, local[k]);
+  }
+  for (unsigned k = 0; i < count; ++i, ++k) out[i] = rans_step(t, local[k]);
+}
+
+}  // namespace
+
+namespace detail {
+
+void rans_decode_lanes(const RansDecodeTable& table, RansLane* lanes,
+                       unsigned ways, std::uint32_t* out, std::size_t count) {
+  NUMARCK_EXPECT(ways == 1 || ways == 2 || ways == 4,
+                 "rans: ways must be 1, 2 or 4");
+  if (ways == 4) return decode_unrolled<4>(table, lanes, out, count);
+  if (ways == 2) return decode_unrolled<2>(table, lanes, out, count);
+  decode_unrolled<1>(table, lanes, out, count);
+}
+
+}  // namespace detail
 
 const char* to_string(IndexCoder c) noexcept {
   switch (c) {

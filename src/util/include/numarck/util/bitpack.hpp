@@ -7,6 +7,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -261,6 +262,27 @@ class BitReader {
   unsigned nbits_ = 0;
 };
 
+/// Reads the `width`-bit value at absolute bit `q` of an LSB-first stream
+/// (`mask` = the low `width` bits). One unaligned u64 load covers the value
+/// whenever 8 bytes fit (q % 8 + width <= 39 < 64 for width <= 32); the
+/// per-byte loop handles the last few bytes of the buffer. The caller
+/// guarantees q + width <= size_bytes * 8.
+inline std::uint32_t read_bits_at(const std::uint8_t* bytes,
+                                  std::size_t size_bytes, std::size_t q,
+                                  unsigned width, std::uint64_t mask) {
+  const std::size_t byte = q >> 3;
+  const unsigned phase = static_cast<unsigned>(q & 7);
+  std::uint64_t w = 0;
+  if (std::endian::native == std::endian::little && byte + 8 <= size_bytes) {
+    std::memcpy(&w, bytes + byte, sizeof w);
+  } else {
+    for (unsigned got = 0; got < phase + width; got += 8) {
+      w |= static_cast<std::uint64_t>(bytes[byte + got / 8]) << got;
+    }
+  }
+  return static_cast<std::uint32_t>((w >> phase) & mask);
+}
+
 /// Number of set bits in the bit range [bit_begin, bit_end) of an LSB-first
 /// stream. The parallel decoder recovers each worker's index/exact cursor by
 /// popcounting the ζ bitmap up to the worker's first point.
@@ -276,5 +298,12 @@ std::vector<std::uint8_t> pack_indices(std::span<const std::uint32_t> values,
 /// Unpacks `count` width-bit values from `bytes`.
 std::vector<std::uint32_t> unpack_indices(const std::vector<std::uint8_t>& bytes,
                                           unsigned width, std::size_t count);
+
+/// Unpacks `count` width-bit values starting at absolute bit `bit_offset`
+/// into `out`. Throws ContractViolation, before reading anything, when the
+/// width is outside [1, 32] or the range does not fit in the stream.
+void unpack_indices(const std::uint8_t* bytes, std::size_t size_bytes,
+                    std::size_t bit_offset, unsigned width, std::uint32_t* out,
+                    std::size_t count);
 
 }  // namespace numarck::util

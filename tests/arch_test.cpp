@@ -1,52 +1,34 @@
-// numarck_arch tests: dispatcher unit tests, per-kernel differential tests
-// against the scalar reference on adversarial inputs, and the ISA sweep —
-// encode/decode FLASH and CMIP5 fixtures under every dispatch level the host
-// supports and assert byte-identical containers and identical stats. The
-// dispatcher is documented as a pure speed knob; these tests are what make
-// that claim enforceable.
+// Kernel tests: each per-point production loop against its narrow
+// reference in kernel_reference.hpp on adversarial inputs (NaN, inf,
+// denormals, zero previous values, unaligned starts), then golden pins of
+// whole encoded records, postpass serializations, decodes and an FPC
+// stream on the FLASH and CMIP5 fixtures.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "harness_common.hpp"
-#include "numarck/arch/arch.hpp"
+#include "kernel_reference.hpp"
+#include "numarck/core/change_ratio.hpp"
 #include "numarck/core/codec.hpp"
 #include "numarck/lossless/fpc.hpp"
 #include "numarck/util/bitpack.hpp"
+#include "numarck/util/crc32.hpp"
 #include "numarck/util/expect.hpp"
 #include "numarck/util/rng.hpp"
 
-namespace na = numarck::arch;
 namespace nk = numarck::core;
+namespace nr = numarck::reference;
+namespace nu = numarck::util;
 
 namespace {
-
-/// Restores the pre-test dispatch level no matter how the test exits, so a
-/// failing sweep cannot leak a forced level into later tests.
-class ScopedArch {
- public:
-  ScopedArch() : saved_(na::active_level()) {}
-  ~ScopedArch() { na::force_level(saved_); }
-  ScopedArch(const ScopedArch&) = delete;
-  ScopedArch& operator=(const ScopedArch&) = delete;
-
- private:
-  na::Level saved_;
-};
-
-/// Snapshot of every supported kernel table (forcing each level once).
-std::vector<std::pair<na::Level, na::Kernels>> all_tables() {
-  ScopedArch guard;
-  std::vector<std::pair<na::Level, na::Kernels>> tables;
-  for (na::Level level : na::available_levels()) {
-    na::force_level(level);
-    tables.emplace_back(level, na::active());
-  }
-  return tables;
-}
 
 /// Exact-or-both-NaN comparison for lanes whose value is allowed to be NaN
 /// (change_ratios on non-finite input). Everything else must be bitwise
@@ -60,7 +42,7 @@ bool same_double(double a, double b) {
 }
 
 /// Adversarial classify/change-ratio input: every label class, non-finite
-/// values, denormals, and an odd length so every SIMD tail path runs.
+/// values, denormals, and an odd length.
 void adversarial_snapshots(std::size_t n, std::vector<double>& prev,
                            std::vector<double>& curr) {
   const double inf = std::numeric_limits<double>::infinity();
@@ -87,261 +69,235 @@ void adversarial_snapshots(std::size_t n, std::vector<double>& prev,
   }
 }
 
-}  // namespace
-
-// -------------------------------------------------------------- dispatch --
-
-TEST(ArchDispatch, ToStringParseRoundTrip) {
-  for (na::Level level :
-       {na::Level::kScalar, na::Level::kSse42, na::Level::kAvx2,
-        na::Level::kAvx512, na::Level::kNeon}) {
-    na::Level parsed{};
-    ASSERT_TRUE(na::parse_level(na::to_string(level), parsed))
-        << na::to_string(level);
-    EXPECT_EQ(parsed, level);
-  }
-}
-
-TEST(ArchDispatch, ParseAcceptsAliasesAndRejectsUnknown) {
-  na::Level out = na::Level::kNeon;
-  EXPECT_TRUE(na::parse_level("sse4.2", out));
-  EXPECT_EQ(out, na::Level::kSse42);
-  EXPECT_TRUE(na::parse_level("sse42", out));
-  EXPECT_EQ(out, na::Level::kSse42);
-  out = na::Level::kAvx2;
-  EXPECT_FALSE(na::parse_level("pentium", out));
-  EXPECT_EQ(out, na::Level::kAvx2);  // untouched on failure
-  EXPECT_FALSE(na::parse_level("", out));
-}
-
-TEST(ArchDispatch, AvailableLevelsStartWithScalarAndAreSupported) {
-  const auto levels = na::available_levels();
-  ASSERT_FALSE(levels.empty());
-  EXPECT_EQ(levels.front(), na::Level::kScalar);
-  for (na::Level level : levels) EXPECT_TRUE(na::level_supported(level));
-  EXPECT_TRUE(na::level_supported(na::detect_best()));
-  EXPECT_TRUE(na::level_supported(na::active_level()));
-}
-
-TEST(ArchDispatch, ForceLevelSwitchesTablesAndUnsupportedThrows) {
-  ScopedArch guard;
-  for (na::Level level :
-       {na::Level::kScalar, na::Level::kSse42, na::Level::kAvx2,
-        na::Level::kAvx512, na::Level::kNeon}) {
-    if (na::level_supported(level)) {
-      na::force_level(level);
-      EXPECT_EQ(na::active_level(), level);
-      EXPECT_EQ(na::active().level, level);
+/// Hand-built record over `labels`: nr::kLabelExact marks an exact point
+/// (value taken from `exact` in order), any other label is a `bits`-wide
+/// index.
+nk::EncodedIteration hand_record(const std::vector<std::uint32_t>& labels,
+                                 unsigned bits, std::vector<double> centers,
+                                 const std::vector<double>& exact) {
+  nk::EncodedIteration e;
+  e.index_bits = bits;
+  e.point_count = labels.size();
+  e.centers = std::move(centers);
+  nu::BitWriter zw;
+  nu::BitWriter iw;
+  std::size_t next_exact = 0;
+  for (const std::uint32_t label : labels) {
+    zw.put_bit(label != nr::kLabelExact);
+    if (label == nr::kLabelExact) {
+      e.exact_values.push_back(exact[next_exact++]);
     } else {
-      EXPECT_THROW(na::force_level(level), numarck::ContractViolation);
+      iw.put(label, bits);
     }
   }
+  e.zeta = zw.finish();
+  e.indices = iw.finish();
+  return e;
 }
 
-TEST(ArchDispatch, DescribeNamesActiveLevelAndKernels) {
-  const std::string d = na::describe();
-  EXPECT_NE(d.find("active="), std::string::npos) << d;
-  EXPECT_NE(d.find(na::to_string(na::active_level())), std::string::npos) << d;
-  EXPECT_NE(d.find("classify"), std::string::npos) << d;
+/// Decodes [i0, n) of `enc` with the production and the reference loop and
+/// expects bit-identical output, NaN payloads included.
+void expect_decode_matches(const std::vector<double>& prev,
+                           const nk::EncodedIteration& enc, std::size_t i0) {
+  const std::size_t n = prev.size();
+  const std::size_t comp_before =
+      nr::count_ones(enc.zeta.data(), enc.zeta.size(), 0, i0);
+  std::vector<double> want(n, -7.0);
+  nr::decode_span(prev.data(), enc, i0, n, comp_before, want.data());
+  std::vector<double> got(n, -9.0);
+  nk::detail::decode_span(prev.data(), enc, i0, n, comp_before, got.data());
+  for (std::size_t j = i0; j < n; ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j]),
+              std::bit_cast<std::uint64_t>(want[j]))
+        << "i0=" << i0 << " point " << j << ": " << got[j] << " != "
+        << want[j];
+  }
 }
+
+}  // namespace
 
 // ------------------------------------------------- kernel differentials --
 
 TEST(ArchKernels, ClassifyMatchesScalarOnAdversarialInput) {
   std::vector<double> prev, curr;
   adversarial_snapshots(1027, prev, curr);  // odd length: tail paths
-  const auto tables = all_tables();
-  const auto& ref = tables.front().second;
   for (double small : {0.0, 1e-7}) {
     std::vector<std::uint32_t> want(prev.size());
-    const auto want_stats = ref.classify(prev.data(), curr.data(), want.data(),
+    const auto want_stats = nr::classify(prev.data(), curr.data(), want.data(),
                                          prev.size(), 0.01, small);
-    for (const auto& [level, k] : tables) {
-      std::vector<std::uint32_t> got(prev.size(), 0xABABABABu);
-      const auto stats = k.classify(prev.data(), curr.data(), got.data(),
-                                    prev.size(), 0.01, small);
-      EXPECT_EQ(got, want) << na::to_string(level) << " small=" << small;
-      EXPECT_EQ(stats.small, want_stats.small) << na::to_string(level);
-      EXPECT_EQ(stats.below, want_stats.below) << na::to_string(level);
-      EXPECT_EQ(stats.undefined, want_stats.undefined) << na::to_string(level);
-      EXPECT_EQ(stats.needs_bin, want_stats.needs_bin) << na::to_string(level);
-      EXPECT_EQ(stats.err_sum, want_stats.err_sum) << na::to_string(level);
-      EXPECT_EQ(stats.err_max, want_stats.err_max) << na::to_string(level);
-    }
+    std::vector<std::uint32_t> got(prev.size(), 0xABABABABu);
+    const auto stats = nk::detail::classify_span(
+        prev.data(), curr.data(), got.data(), prev.size(), 0.01, small);
+    EXPECT_EQ(got, want) << " small=" << small;
+    EXPECT_EQ(stats.small, want_stats.small);
+    EXPECT_EQ(stats.below, want_stats.below);
+    EXPECT_EQ(stats.undefined, want_stats.undefined);
+    EXPECT_EQ(stats.needs_bin, want_stats.needs_bin);
+    EXPECT_EQ(stats.err_sum, want_stats.err_sum);
+    EXPECT_EQ(stats.err_max, want_stats.err_max);
   }
 }
 
 TEST(ArchKernels, ChangeRatiosMatchScalarLaneForLane) {
+  // Eq. 1 as compute_change_ratios evaluates it: a defined lane carries the
+  // plain IEEE divide, and exactly the zero-previous or non-finite lanes are
+  // undefined.
   std::vector<double> prev, curr;
   adversarial_snapshots(517, prev, curr);
-  const auto tables = all_tables();
-  std::vector<double> want(prev.size());
-  tables.front().second.change_ratios(prev.data(), curr.data(), want.data(),
-                                      prev.size());
-  for (const auto& [level, k] : tables) {
-    std::vector<double> got(prev.size(), -42.0);
-    k.change_ratios(prev.data(), curr.data(), got.data(), prev.size());
-    for (std::size_t j = 0; j < want.size(); ++j) {
-      EXPECT_TRUE(same_double(got[j], want[j]))
-          << na::to_string(level) << " lane " << j << ": " << got[j]
-          << " != " << want[j];
-    }
+  nu::ThreadPool pool(1);
+  const auto got = nk::compute_change_ratios(prev, curr, &pool);
+  std::size_t defined = 0;
+  for (std::size_t j = 0; j < prev.size(); ++j) {
+    const double want = (curr[j] - prev[j]) / (prev[j] == 0.0 ? 1.0 : prev[j]);
+    const bool valid = prev[j] != 0.0 && std::isfinite(want);
+    ASSERT_EQ(got.valid[j] != 0, valid) << "lane " << j;
+    if (!valid) continue;
+    ++defined;
+    EXPECT_TRUE(same_double(got.ratio[j], want))
+        << "lane " << j << ": " << got.ratio[j] << " != " << want;
   }
+  EXPECT_EQ(got.defined_count, defined);
 }
 
 TEST(ArchKernels, UnpackMatchesScalarAtEveryOffsetAndWidth) {
-  numarck::util::Pcg32 rng(0x0111);
+  nu::Pcg32 rng(0x0111);
   std::vector<std::uint8_t> bytes(257);
   for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next() & 0xffu);
-  const auto tables = all_tables();
   for (unsigned width : {1u, 3u, 7u, 8u, 11u, 16u, 24u, 31u, 32u}) {
     for (std::size_t offset : {std::size_t{0}, std::size_t{5}}) {
-      // Largest count that fits, so the wide loop's near-end guard and the
+      // Largest count that fits, so the word loop's near-end guard and the
       // per-byte tail both run.
       const std::size_t count = (bytes.size() * 8 - offset) / width;
       std::vector<std::uint32_t> want(count);
-      tables.front().second.unpack(bytes.data(), bytes.size(), offset, width,
-                                   want.data(), count);
-      for (const auto& [level, k] : tables) {
-        std::vector<std::uint32_t> got(count, 0xCCCCCCCCu);
-        k.unpack(bytes.data(), bytes.size(), offset, width, got.data(), count);
-        EXPECT_EQ(got, want)
-            << na::to_string(level) << " W=" << width << " off=" << offset;
-        // One value too many must throw for every level alike.
-        std::vector<std::uint32_t> over(count + 1);
-        EXPECT_THROW(k.unpack(bytes.data(), bytes.size(), offset, width,
-                              over.data(), count + 1),
-                     numarck::ContractViolation)
-            << na::to_string(level);
-      }
+      nr::unpack(bytes.data(), bytes.size(), offset, width, want.data(),
+                 count);
+      std::vector<std::uint32_t> got(count, 0xCCCCCCCCu);
+      nu::unpack_indices(bytes.data(), bytes.size(), offset, width,
+                         got.data(), count);
+      EXPECT_EQ(got, want) << " W=" << width << " off=" << offset;
+      // One value too many must throw.
+      std::vector<std::uint32_t> over(count + 1);
+      EXPECT_THROW(nu::unpack_indices(bytes.data(), bytes.size(), offset,
+                                      width, over.data(), count + 1),
+                   numarck::ContractViolation);
     }
   }
-  for (const auto& [level, k] : tables) {
-    std::uint32_t one = 0;
-    EXPECT_THROW(k.unpack(bytes.data(), bytes.size(), 0, 0, &one, 1),
-                 numarck::ContractViolation)
-        << na::to_string(level);
-    EXPECT_THROW(k.unpack(bytes.data(), bytes.size(), 0, 33, &one, 1),
-                 numarck::ContractViolation)
-        << na::to_string(level);
-    k.unpack(bytes.data(), bytes.size(), 0, 8, &one, 0);  // count 0: no-op
-  }
+  std::uint32_t one = 0;
+  EXPECT_THROW(nu::unpack_indices(bytes.data(), bytes.size(), 0, 0, &one, 1),
+               numarck::ContractViolation);
+  EXPECT_THROW(nu::unpack_indices(bytes.data(), bytes.size(), 0, 33, &one, 1),
+               numarck::ContractViolation);
+  nu::unpack_indices(bytes.data(), bytes.size(), 0, 8, &one, 0);  // no-op
 }
 
 TEST(ArchKernels, CountOnesMatchesScalarOnUnalignedRanges) {
-  numarck::util::Pcg32 rng(0xC0);
+  nu::Pcg32 rng(0xC0);
   std::vector<std::uint8_t> bytes(129);
   for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next() & 0xffu);
-  const auto tables = all_tables();
   const std::size_t total = bytes.size() * 8;
-  for (const auto& [level, k] : tables) {
-    for (std::size_t begin : {std::size_t{0}, std::size_t{3}, std::size_t{64},
-                              std::size_t{777}}) {
-      for (std::size_t end : {begin, begin + 1, begin + 65, total}) {
-        EXPECT_EQ(k.count_ones(bytes.data(), bytes.size(), begin, end),
-                  tables.front().second.count_ones(bytes.data(), bytes.size(),
-                                                   begin, end))
-            << na::to_string(level) << " [" << begin << "," << end << ")";
-      }
+  for (std::size_t begin : {std::size_t{0}, std::size_t{3}, std::size_t{64},
+                            std::size_t{777}}) {
+    for (std::size_t end : {begin, begin + 1, begin + 65, total}) {
+      EXPECT_EQ(nu::count_ones(bytes.data(), bytes.size(), begin, end),
+                nr::count_ones(bytes.data(), bytes.size(), begin, end))
+          << " [" << begin << "," << end << ")";
     }
   }
+  EXPECT_THROW((void)nu::count_ones(bytes.data(), bytes.size(), 0, total + 1),
+               numarck::ContractViolation);
 }
 
 TEST(ArchKernels, DecodeSpanMatchesScalarIncludingUnalignedStart) {
-  // Hand-built container slice: ζ mixes exact runs, compressible runs and
-  // alternating bits, so every byte-dispatch case (0x00 / 0xFF / mixed) and
-  // the unaligned head run.
+  // ζ mixes exact runs, compressible runs and alternating bits, so every
+  // byte case (0x00 / 0xFF / mixed) and the unaligned head run.
   const std::size_t n = 203;
   const unsigned bits = 5;
   std::vector<double> centers;
   for (int c = 0; c < 30; ++c) centers.push_back(-0.3 + 0.02 * c);
-  numarck::util::Pcg32 rng(0x5EC0DE);
-  numarck::util::BitWriter zw;
+  nu::Pcg32 rng(0x5EC0DE);
   std::vector<std::uint32_t> labels(n);
-  std::vector<std::uint32_t> comp_indices;
   std::vector<double> prev(n), exact;
   for (std::size_t j = 0; j < n; ++j) {
     prev[j] = rng.uniform(0.5, 5.0);
     const bool comp = (j / 16) % 3 != 0 ? true : (j % 2 == 0);
-    zw.put_bit(comp);
     if (comp) {
       // 0 = below-threshold, 1..30 = center indices.
       labels[j] = static_cast<std::uint32_t>(rng.next() % (centers.size() + 1));
-      comp_indices.push_back(labels[j]);
     } else {
+      labels[j] = nr::kLabelExact;
       exact.push_back(rng.uniform(-1.0, 1.0));
     }
   }
-  const auto zeta = zw.finish();
-  numarck::util::BitWriter iw;
-  for (std::uint32_t v : comp_indices) iw.put(v, bits);
-  const auto indices = iw.finish();
-
-  const auto tables = all_tables();
+  const auto enc = hand_record(labels, bits, centers, exact);
   for (std::size_t i0 : {std::size_t{0}, std::size_t{3}, std::size_t{8},
                          std::size_t{190}}) {
-    na::DecodeSpan span;
-    span.previous = prev.data();
-    span.i0 = i0;
-    span.i1 = n;
-    span.zeta = zeta.data();
-    span.zeta_size = zeta.size();
-    span.indices = indices.data();
-    span.indices_size = indices.size();
-    span.centers = centers.data();
-    span.center_count = centers.size();
-    span.exact = exact.data();
-    span.exact_size = exact.size();
-    span.index_bits = bits;
-    const std::size_t comp_before = tables.front().second.count_ones(
-        zeta.data(), zeta.size(), 0, i0);
-    span.index_bit_offset = comp_before * bits;
-    span.exact_pos = i0 - comp_before;
+    expect_decode_matches(prev, enc, i0);
+  }
 
-    std::vector<double> want(n, -7.0);
-    span.out = want.data();
-    tables.front().second.decode_span(span);
-    for (const auto& [level, k] : tables) {
-      std::vector<double> got(n, -9.0);
-      span.out = got.data();
-      k.decode_span(span);
-      for (std::size_t j = i0; j < n; ++j) {
-        EXPECT_TRUE(same_double(got[j], want[j]))
-            << na::to_string(level) << " i0=" << i0 << " point " << j;
-      }
+  // An index beyond the center table must throw.
+  auto bad = enc;
+  nu::BitWriter iw;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (labels[j] != nr::kLabelExact) {
+      iw.put(static_cast<std::uint32_t>(centers.size() + 1), bits);
     }
   }
+  bad.indices = iw.finish();
+  std::vector<double> out(n);
+  EXPECT_THROW(nk::detail::decode_span(prev.data(), bad, 0, n, 0, out.data()),
+               numarck::ContractViolation);
+}
 
-  // An index beyond the center table must throw at every level.
-  numarck::util::BitWriter bad;
-  for (std::size_t j = 0; j < comp_indices.size(); ++j) {
-    bad.put(static_cast<std::uint32_t>(centers.size() + 1), bits);
+TEST(ArchKernels, DecodeSpanCarriesPreviousBitForBitInFullIndexBytes) {
+  // Three full ζ bytes of indices: all index 0 (a straight copy), index 0
+  // mixed with binned indices, and all binned. `previous` holds NaNs with
+  // payloads, signed zeros, infinities and a denormal; an index-0 lane must
+  // carry it bit for bit, a binned lane must scale it exactly as the
+  // reference does.
+  const double nan_payload = std::bit_cast<double>(0x7ff80000deadbeefull);
+  const double neg_nan = std::bit_cast<double>(0xfff0000000000123ull);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> specials = {nan_payload, -0.0,   0.0,   neg_nan,
+                                        -inf,        1e-310, -2.5, 3.0};
+  std::vector<double> prev;
+  for (int rep = 0; rep < 3; ++rep) {
+    prev.insert(prev.end(), specials.begin(), specials.end());
   }
-  const auto bad_indices = bad.finish();
-  for (const auto& [level, k] : tables) {
-    na::DecodeSpan span;
-    std::vector<double> out(n);
-    span.previous = prev.data();
-    span.out = out.data();
-    span.i0 = 0;
-    span.i1 = n;
-    span.zeta = zeta.data();
-    span.zeta_size = zeta.size();
-    span.indices = bad_indices.data();
-    span.indices_size = bad_indices.size();
-    span.centers = centers.data();
-    span.center_count = centers.size();
-    span.exact = exact.data();
-    span.exact_size = exact.size();
-    span.index_bits = bits;
-    EXPECT_THROW(k.decode_span(span), numarck::ContractViolation)
-        << na::to_string(level);
+  const std::vector<std::uint32_t> labels = {
+      0, 0, 0, 0, 0, 0, 0, 0,  // all index 0
+      0, 3, 0, 1, 2, 0, 3, 0,  // mixed
+      1, 2, 3, 1, 2, 3, 1, 2,  // all binned
+  };
+  const auto enc = hand_record(labels, 2, {-0.5, 0.0, 0.25}, {});
+  for (std::size_t i0 : {std::size_t{0}, std::size_t{8}, std::size_t{5}}) {
+    expect_decode_matches(prev, enc, i0);
   }
+  std::vector<double> got(prev.size());
+  nk::detail::decode_span(prev.data(), enc, 0, prev.size(), 0, got.data());
+  for (std::size_t j = 0; j < 8; ++j) {  // the all-index-0 byte
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j]),
+              std::bit_cast<std::uint64_t>(prev[j]))
+        << "point " << j;
+  }
+}
+
+TEST(ArchKernels, DecodeSpanRejectsOutOfTableIndexInFullIndexByte) {
+  // One full ζ byte whose seventh index is past the 2-entry center table.
+  const std::vector<std::uint32_t> labels = {0, 1, 2, 0, 1, 2, 3, 0};
+  const auto enc = hand_record(labels, 2, {0.1, 0.2}, {});
+  const std::vector<double> prev(labels.size(), 1.5);
+  std::vector<double> out(labels.size());
+  EXPECT_THROW(nr::decode_span(prev.data(), enc, 0, labels.size(), 0,
+                               out.data()),
+               numarck::ContractViolation);
+  EXPECT_THROW(nk::detail::decode_span(prev.data(), enc, 0, labels.size(), 0,
+                                       out.data()),
+               numarck::ContractViolation);
 }
 
 TEST(ArchKernels, FpcXorLzcMatchesScalar) {
   const std::size_t n = 101;
-  numarck::util::Pcg32 rng(0xF9C);
+  nu::Pcg32 rng(0xF9C);
   auto next64 = [&rng] {
     return (static_cast<std::uint64_t>(rng.next()) << 32) | rng.next();
   };
@@ -354,50 +310,57 @@ TEST(ArchKernels, FpcXorLzcMatchesScalar) {
     pf[i] = values[i] ^ (keep == 0 ? 0 : next64() >> (8 * (8 - keep)));
     pd[i] = next64();
   }
-  const auto tables = all_tables();
   std::vector<std::uint64_t> want_xr(n);
   std::vector<std::uint8_t> want_nib(n);
-  tables.front().second.fpc_xor_lzc(values.data(), pf.data(), pd.data(), n,
-                                    want_xr.data(), want_nib.data());
-  for (const auto& [level, k] : tables) {
-    std::vector<std::uint64_t> xr(n, ~0ull);
-    std::vector<std::uint8_t> nib(n, 0xAA);
-    k.fpc_xor_lzc(values.data(), pf.data(), pd.data(), n, xr.data(),
-                  nib.data());
-    EXPECT_EQ(xr, want_xr) << na::to_string(level);
-    EXPECT_EQ(nib, want_nib) << na::to_string(level);
-  }
+  nr::fpc_xor_lzc(values.data(), pf.data(), pd.data(), n, want_xr.data(),
+                  want_nib.data());
+  std::vector<std::uint64_t> xr(n, ~0ull);
+  std::vector<std::uint8_t> nib(n, 0xAA);
+  numarck::lossless::detail::fpc_xor_lzc(values.data(), pf.data(), pd.data(),
+                                         n, xr.data(), nib.data());
+  EXPECT_EQ(xr, want_xr);
+  EXPECT_EQ(nib, want_nib);
 }
 
-// ----------------------------------------------------------- ISA sweeps --
+// ----------------------------------------------------------- golden pins --
+//
+// Size + CRC-32 of encoded records, their Postpass::all() serialization and
+// their decodes on the FLASH and CMIP5 fixtures, for every strategy at pools
+// 1 and 4, plus one FPC stream. The values were captured from the
+// runtime-dispatched AVX-512 kernel tables that preceded the portable set;
+// any rewrite of a per-point loop must reproduce them exactly.
 
 namespace {
 
-void expect_same_encoding(const nk::EncodedIteration& got,
-                          const nk::EncodedIteration& want,
-                          const std::string& what) {
-  EXPECT_EQ(got.zeta, want.zeta) << what;
-  EXPECT_EQ(got.indices, want.indices) << what;
-  EXPECT_EQ(got.exact_values, want.exact_values) << what;
-  EXPECT_EQ(got.centers, want.centers) << what;
-  EXPECT_EQ(got.stats.total_points, want.stats.total_points) << what;
-  EXPECT_EQ(got.stats.below_threshold, want.stats.below_threshold) << what;
-  EXPECT_EQ(got.stats.small_value, want.stats.small_value) << what;
-  EXPECT_EQ(got.stats.binned, want.stats.binned) << what;
-  EXPECT_EQ(got.stats.exact_undefined, want.stats.exact_undefined) << what;
-  EXPECT_EQ(got.stats.exact_out_of_bound, want.stats.exact_out_of_bound)
-      << what;
-  EXPECT_EQ(got.stats.mean_ratio_error, want.stats.mean_ratio_error) << what;
-  EXPECT_EQ(got.stats.max_ratio_error, want.stats.max_ratio_error) << what;
-  EXPECT_EQ(got.serialize(), want.serialize()) << what;
+struct Pin {
+  const char* name;
+  std::size_t size;
+  std::uint32_t crc;
+};
+
+/// Checks `bytes` against the pin called `name`; on a mismatch (or a missing
+/// pin) prints the row that would pin the current bytes.
+void expect_pinned(std::span<const Pin> pins, const std::string& name,
+                   const void* data, std::size_t size) {
+  const std::uint32_t crc = numarck::util::crc32(data, size);
+  char row[160];
+  std::snprintf(row, sizeof row, "{\"%s\", %zu, 0x%08xu},", name.c_str(),
+                size, crc);
+  for (const Pin& p : pins) {
+    if (name != p.name) continue;
+    EXPECT_EQ(size, p.size) << row;
+    EXPECT_EQ(crc, p.crc) << row;
+    return;
+  }
+  ADD_FAILURE() << "no pin: " << row;
 }
 
-/// Encodes and decodes prev -> curr under every available dispatch level and
-/// asserts the containers and reconstructions are byte-identical to the
-/// scalar reference, for each strategy x thread-count combination.
-void sweep_levels(const std::vector<double>& prev,
-                  const std::vector<double>& curr, const std::string& tag) {
-  ScopedArch guard;
+/// Pins every strategy's record, postpass serialization and decode of
+/// prev -> curr; pool 1 and pool 4 must both hit the same pins.
+void expect_records_pinned(std::span<const Pin> pins,
+                           const std::vector<double>& prev,
+                           const std::vector<double>& curr,
+                           const std::string& tag) {
   for (auto s : {nk::Strategy::kEqualWidth, nk::Strategy::kLogScale,
                  nk::Strategy::kClustering}) {
     for (std::size_t threads : {1u, 4u}) {
@@ -405,55 +368,80 @@ void sweep_levels(const std::vector<double>& prev,
       nk::Options opts;
       opts.strategy = s;
       opts.pool = &pool;
-
-      na::force_level(na::Level::kScalar);
-      const auto ref_enc = nk::encode_iteration(prev, curr, opts);
-      const auto ref_dec = nk::decode_iteration(prev, ref_enc, &pool);
-
-      for (na::Level level : na::available_levels()) {
-        na::force_level(level);
-        const std::string what = tag + " " + nk::to_string(s) + " arch=" +
-                                 na::to_string(level) +
-                                 " threads=" + std::to_string(threads);
-        const auto enc = nk::encode_iteration(prev, curr, opts);
-        expect_same_encoding(enc, ref_enc, what);
-        const auto dec = nk::decode_iteration(prev, enc, &pool);
-        EXPECT_EQ(dec, ref_dec) << what;
-      }
+      const std::string what = tag + "/" + nk::to_string(s);
+      SCOPED_TRACE(what + " threads=" + std::to_string(threads));
+      const auto enc = nk::encode_iteration(prev, curr, opts);
+      const auto record = enc.serialize();
+      expect_pinned(pins, what + "/record", record.data(), record.size());
+      const auto packed = enc.serialize(nk::Postpass::all());
+      expect_pinned(pins, what + "/postpass", packed.data(), packed.size());
+      const auto dec = nk::decode_iteration(prev, enc, &pool);
+      expect_pinned(pins, what + "/decode", dec.data(),
+                    dec.size() * sizeof(double));
     }
   }
 }
+
+constexpr Pin kFlashPins[] = {
+    {"flash/dens/clustering/decode", 262144, 0x7ee40b85u},
+    {"flash/dens/clustering/postpass", 1210, 0x7471d20bu},
+    {"flash/dens/clustering/record", 37262, 0x45b2f8d1u},
+    {"flash/dens/equal-width/decode", 262144, 0xb0750ee2u},
+    {"flash/dens/equal-width/postpass", 3035, 0x18f0a464u},
+    {"flash/dens/equal-width/record", 39184, 0x8b963256u},
+    {"flash/dens/log-scale/decode", 262144, 0x311a99adu},
+    {"flash/dens/log-scale/postpass", 3478, 0x41112d51u},
+    {"flash/dens/log-scale/record", 39688, 0x79703163u},
+    {"flash/pres/clustering/decode", 262144, 0xd21d2e14u},
+    {"flash/pres/clustering/postpass", 1417, 0x9375b633u},
+    {"flash/pres/clustering/record", 37503, 0xdcb222bfu},
+    {"flash/pres/equal-width/decode", 262144, 0x5d56afa6u},
+    {"flash/pres/equal-width/postpass", 4525, 0x33d12876u},
+    {"flash/pres/equal-width/record", 41481, 0x81263e7bu},
+    {"flash/pres/log-scale/decode", 262144, 0x8e1ba72bu},
+    {"flash/pres/log-scale/postpass", 4180, 0x448097ffu},
+    {"flash/pres/log-scale/record", 41033, 0x00de86d2u},
+};
+
+constexpr Pin kClimatePins[] = {
+    {"cmip5/rlds/clustering/decode", 103680, 0x17a9adc8u},
+    {"cmip5/rlds/clustering/postpass", 26427, 0xe3404f83u},
+    {"cmip5/rlds/clustering/record", 28301, 0xb52e3a8bu},
+    {"cmip5/rlds/equal-width/decode", 103680, 0x82ddb8d2u},
+    {"cmip5/rlds/equal-width/postpass", 70624, 0x01456282u},
+    {"cmip5/rlds/equal-width/record", 80907, 0x7ee7d61cu},
+    {"cmip5/rlds/log-scale/decode", 103680, 0x9ebab2b5u},
+    {"cmip5/rlds/log-scale/postpass", 39794, 0x76de327cu},
+    {"cmip5/rlds/log-scale/record", 43730, 0xa6a47eeeu},
+};
+
+constexpr Pin kFpcPins[] = {
+    {"cmip5/mrro/fpc", 11615, 0x65096b8du},
+};
 
 }  // namespace
 
-TEST(ArchSweep, FlashFixtureIsByteIdenticalAcrossLevels) {
+TEST(KernelGolden, FlashRecordsArePinned) {
   const auto series = numarck::bench::flash_series(2, {"dens", "pres"});
   for (const auto& [var, snaps] : series) {
-    sweep_levels(snaps[0], snaps[1], "flash/" + var);
+    expect_records_pinned(kFlashPins, snaps[0], snaps[1], "flash/" + var);
   }
 }
 
-TEST(ArchSweep, ClimateFixtureIsByteIdenticalAcrossLevels) {
+TEST(KernelGolden, ClimateRecordsArePinned) {
   const auto snaps =
       numarck::bench::climate_series(numarck::sim::climate::Variable::kRlds, 2);
-  sweep_levels(snaps[0], snaps[1], "cmip5/rlds");
+  expect_records_pinned(kClimatePins, snaps[0], snaps[1], "cmip5/rlds");
 }
 
-TEST(ArchSweep, FpcStreamIsByteIdenticalAcrossLevels) {
-  ScopedArch guard;
+TEST(KernelGolden, FpcStreamIsPinned) {
   const auto snaps = numarck::bench::climate_series(
       numarck::sim::climate::Variable::kMrro, 2, 7);
-  na::force_level(na::Level::kScalar);
-  const auto ref = numarck::lossless::fpc_compress(snaps[1], {});
-  for (na::Level level : na::available_levels()) {
-    na::force_level(level);
-    const auto stream = numarck::lossless::fpc_compress(snaps[1], {});
-    EXPECT_EQ(stream, ref) << na::to_string(level);
-    const auto back = numarck::lossless::fpc_decompress(stream);
-    ASSERT_EQ(back.size(), snaps[1].size()) << na::to_string(level);
-    for (std::size_t j = 0; j < back.size(); ++j) {
-      EXPECT_TRUE(same_double(back[j], snaps[1][j]))
-          << na::to_string(level) << " point " << j;
-    }
-  }
+  const auto stream = numarck::lossless::fpc_compress(snaps[1], {});
+  expect_pinned(kFpcPins, "cmip5/mrro/fpc", stream.data(), stream.size());
+  const auto back = numarck::lossless::fpc_decompress(stream);
+  ASSERT_EQ(back.size(), snaps[1].size());
+  EXPECT_EQ(std::memcmp(back.data(), snaps[1].data(),
+                        back.size() * sizeof(double)),
+            0);
 }

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <vector>
 
-#include "numarck/arch/arch.hpp"
+#include "kernel_reference.hpp"
 #include "numarck/core/codec.hpp"
 #include "numarck/lossless/fpc.hpp"
 #include "numarck/lossless/huffman.hpp"
@@ -20,7 +23,6 @@
 #include "numarck/util/rng.hpp"
 #include "numarck/util/thread_pool.hpp"
 
-namespace na = numarck::arch;
 namespace nl = numarck::lossless;
 namespace nk = numarck::core;
 
@@ -194,12 +196,36 @@ TEST(Rle, WrongBitCountThrows) {
 
 namespace {
 
-/// Restores the dispatch level on scope exit so a failing sweep cannot leak
-/// a forced level into later tests.
-struct ScopedLevel {
-  na::Level saved = na::active_level();
-  ~ScopedLevel() { na::force_level(saved); }
+/// The head of a rANS stream (FORMAT.md §9) up to its lane frames, read
+/// without validation from a stream rans_encode wrote.
+struct RansHeader {
+  unsigned ways = 0;
+  unsigned scale_bits = 0;
+  std::vector<std::uint32_t> freq;  ///< per symbol of the alphabet
+  std::size_t lanes_at = 0;         ///< byte offset of the first lane frame
 };
+
+RansHeader read_rans_header(std::span<const std::uint8_t> stream) {
+  numarck::util::ByteReader r(stream);
+  RansHeader h;
+  (void)r.get_u32();
+  h.ways = r.get_u8();
+  h.scale_bits = r.get_u8();
+  h.freq.assign(r.get_varint(), 0);
+  (void)r.get_varint();
+  if (r.get_u8() == 0) {
+    for (auto& f : h.freq) f = static_cast<std::uint32_t>(r.get_varint());
+  } else {
+    const std::size_t used = r.get_varint();
+    std::uint64_t s = 0;
+    for (std::size_t u = 0; u < used; ++u, ++s) {
+      s += r.get_varint();
+      h.freq[s] = static_cast<std::uint32_t>(r.get_varint());
+    }
+  }
+  h.lanes_at = r.position();
+  return h;
+}
 
 std::vector<std::uint32_t> skewed_symbols(std::size_t n, std::uint32_t alphabet,
                                           std::uint64_t seed) {
@@ -303,14 +329,49 @@ TEST(Rans, TruncatedLaneRejected) {
 }
 
 TEST(Rans, DecodeMatchesAcrossIsaLevels) {
-  const auto syms = skewed_symbols(30000, 1u << 11, 33);
-  ScopedLevel guard;
+  // The interleaved decode loop against the strict round-robin reference,
+  // on the tables and lanes of real streams: same symbols, and every lane
+  // drained to the same state and cursor. An odd count leaves a partial
+  // last round for ways 2 and 4.
+  const auto syms = skewed_symbols(30003, 1u << 11, 33);
   for (unsigned ways : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "ways=" << ways);
     const auto enc = nl::rans_encode(syms, 1u << 11, ways);
-    for (const na::Level level : na::available_levels()) {
-      na::force_level(level);
-      EXPECT_EQ(nl::rans_decode(enc, syms.size()), syms)
-          << na::to_string(level) << " ways=" << ways;
+    EXPECT_EQ(nl::rans_decode(enc, syms.size()), syms);
+
+    const RansHeader h = read_rans_header(enc);
+    std::vector<std::uint32_t> cum(h.freq.size() + 1, 0);
+    std::vector<std::uint16_t> slot_symbol;
+    for (std::uint32_t s = 0; s < h.freq.size(); ++s) {
+      cum[s + 1] = cum[s] + h.freq[s];
+      slot_symbol.insert(slot_symbol.end(), h.freq[s],
+                         static_cast<std::uint16_t>(s));
+    }
+    const nl::detail::RansDecodeTable table{slot_symbol.data(), h.freq.data(),
+                                            cum.data(), h.scale_bits};
+    numarck::util::ByteReader r(enc);
+    r.skip(h.lanes_at);
+    std::array<nl::detail::RansLane, nl::kRansMaxWays> lanes{};
+    for (unsigned k = 0; k < h.ways; ++k) {
+      const std::size_t size = r.get_varint();
+      const std::uint8_t* base = enc.data() + r.position();
+      std::memcpy(&lanes[k].state, base, sizeof lanes[k].state);
+      lanes[k].cur = base + 4;
+      lanes[k].end = base + size;
+      r.skip(size);
+    }
+    auto want_lanes = lanes;
+    std::vector<std::uint32_t> want(syms.size());
+    numarck::reference::rans_decode(table, want_lanes.data(), ways,
+                                    want.data(), want.size());
+    std::vector<std::uint32_t> got(syms.size());
+    nl::detail::rans_decode_lanes(table, lanes.data(), ways, got.data(),
+                                  got.size());
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(want, syms);
+    for (unsigned k = 0; k < ways; ++k) {
+      EXPECT_EQ(lanes[k].state, want_lanes[k].state) << "lane " << k;
+      EXPECT_EQ(lanes[k].cur, want_lanes[k].cur) << "lane " << k;
     }
   }
 }
@@ -513,17 +574,20 @@ TEST(Postpass, SerializedBytesIdenticalAcrossThreadCounts) {
 }
 
 TEST(Postpass, SerializedBytesIdenticalAcrossIsaLevels) {
+  // serialize() unpacks the index stream with the word-accumulator loop
+  // before entropy coding; the reference unpack must see the same symbols,
+  // and the postpass round trip must restore the packed bytes.
   const auto enc = sample_encoded(25000, 0.02);
-  ScopedLevel guard;
-  na::force_level(na::available_levels().front());
-  const auto reference = enc.serialize(nk::Postpass::all());
-  for (const na::Level level : na::available_levels()) {
-    na::force_level(level);
-    const auto bytes = enc.serialize(nk::Postpass::all());
-    EXPECT_EQ(bytes, reference) << na::to_string(level);
-    EXPECT_EQ(nk::EncodedIteration::deserialize(bytes).indices, enc.indices)
-        << na::to_string(level);
-  }
+  const std::size_t comp = numarck::reference::count_ones(
+      enc.zeta.data(), enc.zeta.size(), 0, enc.point_count);
+  std::vector<std::uint32_t> want(comp);
+  numarck::reference::unpack(enc.indices.data(), enc.indices.size(), 0,
+                             enc.index_bits, want.data(), comp);
+  EXPECT_EQ(numarck::util::unpack_indices(enc.indices, enc.index_bits, comp),
+            want);
+  const auto bytes = enc.serialize(nk::Postpass::all());
+  EXPECT_EQ(enc.serialize(nk::Postpass::all()), bytes);
+  EXPECT_EQ(nk::EncodedIteration::deserialize(bytes).indices, enc.indices);
 }
 
 // ---------------------------------------------------------------- golden --
@@ -697,24 +761,12 @@ std::vector<std::uint8_t> reference_pack(
 std::vector<std::uint8_t> reference_rans_lanes(
     std::span<const std::uint8_t> stream,
     std::span<const std::uint32_t> symbols, std::size_t* lanes_at) {
-  numarck::util::ByteReader r(stream);
-  (void)r.get_u32();
-  const unsigned ways = r.get_u8();
-  const unsigned scale_bits = r.get_u8();
-  const auto alphabet = static_cast<std::uint32_t>(r.get_varint());
-  (void)r.get_varint();
-  std::vector<std::uint32_t> freq(alphabet, 0);
-  if (r.get_u8() == 0) {
-    for (auto& f : freq) f = static_cast<std::uint32_t>(r.get_varint());
-  } else {
-    const std::size_t used = r.get_varint();
-    std::uint64_t s = 0;
-    for (std::size_t u = 0; u < used; ++u, ++s) {
-      s += r.get_varint();
-      freq[s] = static_cast<std::uint32_t>(r.get_varint());
-    }
-  }
-  *lanes_at = r.position();
+  const RansHeader h = read_rans_header(stream);
+  const unsigned ways = h.ways;
+  const unsigned scale_bits = h.scale_bits;
+  const std::vector<std::uint32_t>& freq = h.freq;
+  const auto alphabet = static_cast<std::uint32_t>(freq.size());
+  *lanes_at = h.lanes_at;
   std::vector<std::uint32_t> cum(alphabet + 1, 0);
   for (std::uint32_t s = 0; s < alphabet; ++s) cum[s + 1] = cum[s] + freq[s];
   struct Lane {

@@ -18,13 +18,6 @@ frame must be strictly smaller than Huffman's on the skewed index
 workload, and the interleaved rANS index decode must beat the bit-serial
 Huffman loop by --min-rans-decode-speedup.
 
-With --simd it additionally validates the SIMD dispatch sweep in
-BENCH_simd.json: every kernel x strategy combination must appear once per
-available dispatch level with positive throughput, and — when the host has
-an AVX2-or-wider table — at least one vectorized kernel must beat the
-scalar reference by --min-kernel-speedup (the dispatcher exists to buy
-exactly that).
-
 With --io it additionally validates the streaming container I/O sweep in
 BENCH_io.json: the append/scan/scan_ifstream/load ops must all be
 measured with positive throughput on a non-empty container, and the
@@ -36,8 +29,6 @@ Usage:
   check_bench.py BENCH_kmeans.json [--min-vs-equal-width 0.25]
                                    [--max-ratio-delta-pct 2.0]
                                    [--baselines BENCH_baselines.json]
-                                   [--simd BENCH_simd.json]
-                                   [--min-kernel-speedup 2.0]
                                    [--io BENCH_io.json]
                                    [--min-scan-speedup 0.5]
 """
@@ -158,67 +149,6 @@ def check_baselines(path: str, min_rans_decode_speedup: float) -> None:
     )
 
 
-SIMD_ROW_KEYS = [
-    "kernel",
-    "strategy",
-    "arch",
-    "seconds",
-    "mpoints_per_s",
-    "speedup_vs_scalar",
-]
-
-SIMD_KERNELS = [
-    "classify",
-    "change_ratios",
-    "unpack",
-    "count_ones",
-    "decode_span",
-    "fpc_xor_lzc",
-    "rans_decode",
-]
-
-
-def check_simd(path: str, min_kernel_speedup: float) -> None:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("benchmark") != "simd":
-        fail(f"unexpected simd benchmark id {doc.get('benchmark')!r}")
-    levels = doc.get("levels", [])
-    if not levels or levels[0] != "scalar":
-        fail(f"simd levels must start with the scalar reference, got {levels}")
-    rows = doc.get("results", [])
-    if not rows:
-        fail("empty simd results array")
-    for i, row in enumerate(rows):
-        row_missing = [k for k in SIMD_ROW_KEYS if k not in row]
-        if row_missing:
-            fail(f"simd results[{i}] missing keys: {row_missing}")
-        if row["mpoints_per_s"] <= 0 or row["speedup_vs_scalar"] <= 0:
-            fail(f"simd results[{i}] has a non-positive measurement")
-    # Every kernel and every end-to-end op must be measured at every level.
-    for level in levels:
-        for kernel in SIMD_KERNELS:
-            if not any(r["arch"] == level and r["kernel"] == kernel
-                       for r in rows):
-                fail(f"simd sweep is missing {kernel} @ {level}")
-        for op in ("encode", "decode"):
-            if not any(r["arch"] == level and r["kernel"] == op for r in rows):
-                fail(f"simd sweep is missing end-to-end {op} @ {level}")
-    best = doc.get("best_kernel_speedup_vs_scalar", 0.0)
-    wide = [lv for lv in levels if lv in ("avx2", "avx512")]
-    if wide and best < min_kernel_speedup:
-        fail(
-            f"host has {wide} tables but the best kernel speedup over scalar "
-            f"is {best:.2f}x (floor {min_kernel_speedup}x) — the SIMD "
-            "dispatch has regressed"
-        )
-    print(
-        f"check_bench: OK: simd sweep covers {levels}, best kernel "
-        f"{best:.2f}x scalar, best encode "
-        f"{doc.get('best_encode_speedup_vs_scalar', 0.0):.2f}x"
-    )
-
-
 IO_OPS = ["append", "scan", "scan_ifstream", "load"]
 
 IO_ROW_KEYS = ["op", "seconds", "mb_per_s"]
@@ -267,9 +197,6 @@ def main() -> None:
     ap.add_argument("--max-ratio-delta-pct", type=float, default=2.0)
     ap.add_argument("--baselines", default=None,
                     help="also validate a BENCH_baselines.json sweep")
-    ap.add_argument("--simd", default=None,
-                    help="also validate a BENCH_simd.json sweep")
-    ap.add_argument("--min-kernel-speedup", type=float, default=2.0)
     ap.add_argument("--min-rans-decode-speedup", type=float, default=1.5)
     ap.add_argument("--io", default=None,
                     help="also validate a BENCH_io.json sweep")
@@ -278,8 +205,6 @@ def main() -> None:
 
     if args.baselines:
         check_baselines(args.baselines, args.min_rans_decode_speedup)
-    if args.simd:
-        check_simd(args.simd, args.min_kernel_speedup)
     if args.io:
         check_io(args.io, args.min_scan_speedup)
 

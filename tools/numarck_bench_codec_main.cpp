@@ -12,11 +12,7 @@
 // cross-codec throughput/size comparison in BENCH_baselines.json (override
 // with --baselines-out). Usage:
 //
-// A fourth sweep times the codec end-to-end and each dispatched kernel under
-// every NUMARCK_ARCH level the host supports and lands in BENCH_simd.json
-// (override with --simd-out) — the record of what the SIMD dispatcher buys.
-//
-// A fifth sweep times the streaming container I/O layer on a real on-disk
+// A fourth sweep times the streaming container I/O layer on a real on-disk
 // checkpoint: pooled framed appends, the FileSource + ContainerScanner scan,
 // an ifstream whole-file-slurp scan (the bench-only pre-refactor baseline),
 // and CRC-verified payload loads. It lands in BENCH_io.json (override with
@@ -30,7 +26,6 @@
 //   numarck-bench-codec [output.json] [--points N] [--reps R]
 //                       [--kmeans-out kmeans.json]
 //                       [--baselines-out baselines.json]
-//                       [--simd-out simd.json]
 //                       [--io-out io.json]
 #include <algorithm>
 #include <chrono>
@@ -316,142 +311,6 @@ PostpassSweep postpass_sweep(std::size_t n, std::size_t reps) {
   return sweep;
 }
 
-struct SimdRow {
-  std::string kernel;    ///< "encode"/"decode" or a dispatched kernel name
-  std::string strategy;  ///< "-" for micro-kernel rows
-  std::string arch;
-  double seconds;
-  double mpoints_per_s;
-  double speedup_vs_scalar;  ///< scalar seconds / this row's seconds
-};
-
-/// Kernel x ISA x strategy sweep: the codec end-to-end (single-threaded, per
-/// strategy) plus each dispatched kernel in isolation, once per NUMARCK_ARCH
-/// level the host supports. All kernel calls go through the dispatch table's
-/// function pointers, so nothing inlines away. Every level produces
-/// byte-identical output (tests/arch_test.cpp enforces that); this sweep
-/// records what the wider tables buy in throughput.
-std::vector<SimdRow> simd_sweep(std::span<const double> prev,
-                                std::span<const double> curr,
-                                std::size_t reps) {
-  const arch::Level saved = arch::active_level();
-  const std::size_t n = curr.size();
-  const double mp = static_cast<double>(n) / 1e6;
-  const core::Strategy strategies[] = {core::Strategy::kEqualWidth,
-                                       core::Strategy::kLogScale,
-                                       core::Strategy::kClustering};
-
-  // Shared inputs for the micro-kernel rows, built once so every level times
-  // the same work. The reference container comes from the scalar table.
-  arch::force_level(arch::Level::kScalar);
-  util::ThreadPool pool(1);
-  core::Options ref_opts;
-  ref_opts.pool = &pool;
-  const core::EncodedIteration ref_enc =
-      core::encode_iteration(prev, curr, ref_opts);
-  std::vector<std::uint32_t> labels(n);
-  std::vector<double> ratios(n);
-  std::vector<double> decoded(n);
-  std::vector<std::uint32_t> packed_src(n);
-  util::Pcg32 rng(7);
-  for (auto& v : packed_src) v = rng.next() & 0x7ffu;
-  const std::vector<std::uint8_t> packed = util::pack_indices(packed_src, 11);
-  std::vector<std::uint32_t> unpacked(n);
-  std::vector<std::uint64_t> fpc_v(n), fpc_pf(n), fpc_pd(n), fpc_xr(n);
-  std::vector<std::uint8_t> fpc_nib(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    fpc_v[i] = (static_cast<std::uint64_t>(rng.next()) << 32) | rng.next();
-    fpc_pf[i] = fpc_v[i] ^ (rng.next() & 0xffffffu);
-    fpc_pd[i] = (static_cast<std::uint64_t>(rng.next()) << 32) | rng.next();
-  }
-  // Skewed index stream for the rans_decode row (the interleaved hot loop
-  // dispatches through the kernel table inside lossless::rans_decode).
-  std::vector<std::uint32_t> rans_syms(n);
-  for (auto& s : rans_syms) {
-    const std::uint32_t r = rng.next();
-    s = (r % 100 < 85) ? 0 : (r >> 8) % 256;
-  }
-  const std::vector<std::uint8_t> rans_stream =
-      lossless::rans_encode(rans_syms, 256, 4);
-
-  std::vector<SimdRow> rows;
-  for (const arch::Level level : arch::available_levels()) {
-    arch::force_level(level);
-    const auto& k = arch::active();
-    const std::string name = arch::to_string(level);
-    for (const auto strategy : strategies) {
-      core::Options opts;
-      opts.strategy = strategy;
-      opts.pool = &pool;
-      core::EncodedIteration enc;
-      const double enc_s = best_seconds(
-          reps, [&] { enc = core::encode_iteration(prev, curr, opts); });
-      const double dec_s = best_seconds(
-          reps, [&] { (void)core::decode_iteration(prev, enc, &pool); });
-      rows.push_back(
-          {"encode", core::to_string(strategy), name, enc_s, mp / enc_s, 1.0});
-      rows.push_back(
-          {"decode", core::to_string(strategy), name, dec_s, mp / dec_s, 1.0});
-    }
-    const auto micro = [&](const char* kernel, double seconds) {
-      rows.push_back({kernel, "-", name, seconds, mp / seconds, 1.0});
-    };
-    micro("classify", best_seconds(reps, [&] {
-            (void)k.classify(prev.data(), curr.data(), labels.data(), n, 0.01,
-                             1e-7);
-          }));
-    micro("change_ratios", best_seconds(reps, [&] {
-            k.change_ratios(prev.data(), curr.data(), ratios.data(), n);
-          }));
-    micro("unpack", best_seconds(reps, [&] {
-            k.unpack(packed.data(), packed.size(), 0, 11, unpacked.data(), n);
-          }));
-    micro("count_ones", best_seconds(reps, [&] {
-            (void)k.count_ones(ref_enc.zeta.data(), ref_enc.zeta.size(), 0, n);
-          }));
-    micro("decode_span", best_seconds(reps, [&] {
-            arch::DecodeSpan span;
-            span.previous = prev.data();
-            span.out = decoded.data();
-            span.i0 = 0;
-            span.i1 = n;
-            span.zeta = ref_enc.zeta.data();
-            span.zeta_size = ref_enc.zeta.size();
-            span.indices = ref_enc.indices.data();
-            span.indices_size = ref_enc.indices.size();
-            span.centers = ref_enc.centers.data();
-            span.center_count = ref_enc.centers.size();
-            span.exact = ref_enc.exact_values.data();
-            span.exact_size = ref_enc.exact_values.size();
-            span.index_bits = ref_enc.index_bits;
-            k.decode_span(span);
-          }));
-    micro("fpc_xor_lzc", best_seconds(reps, [&] {
-            k.fpc_xor_lzc(fpc_v.data(), fpc_pf.data(), fpc_pd.data(), n,
-                          fpc_xr.data(), fpc_nib.data());
-          }));
-    micro("rans_decode", best_seconds(reps, [&] {
-            (void)lossless::rans_decode(rans_stream, n);
-          }));
-  }
-  arch::force_level(saved);
-
-  for (auto& r : rows) {
-    for (const auto& base : rows) {
-      if (base.arch == "scalar" && base.kernel == r.kernel &&
-          base.strategy == r.strategy) {
-        r.speedup_vs_scalar = base.seconds / r.seconds;
-        break;
-      }
-    }
-    std::fprintf(stderr,
-                 "simd    %-13s %-12s %-7s %8.3f ms  %7.1f Mpt/s  %5.2fx\n",
-                 r.kernel.c_str(), r.strategy.c_str(), r.arch.c_str(),
-                 r.seconds * 1e3, r.mpoints_per_s, r.speedup_vs_scalar);
-  }
-  return rows;
-}
-
 struct IoRow {
   std::string op;   ///< "append" | "scan" | "scan_ifstream" | "load"
   double seconds;
@@ -560,7 +419,6 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_codec.json";
   std::string kmeans_out_path = "BENCH_kmeans.json";
   std::string baselines_out_path = "BENCH_baselines.json";
-  std::string simd_out_path = "BENCH_simd.json";
   std::string io_out_path = "BENCH_io.json";
   std::size_t n = std::size_t{1} << 17;
   std::size_t reps = 5;
@@ -595,12 +453,6 @@ int main(int argc, char** argv) {
         std::exit(2);
       }
       baselines_out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--simd-out") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--simd-out requires a value\n");
-        std::exit(2);
-      }
-      simd_out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--io-out") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "--io-out requires a value\n");
@@ -612,7 +464,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Which kernel tables this run dispatches to (honors NUMARCK_ARCH).
   std::cerr << "numarck-bench-codec: " << arch::describe() << "\n";
 
   const auto [prev, curr] = snapshots(n);
@@ -667,7 +518,7 @@ int main(int argc, char** argv) {
   out << "  \"reps\": " << reps << ",\n";
   out << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n";
-  out << "  \"arch\": \"" << arch::to_string(arch::active_level()) << "\",\n";
+  out << "  \"arch\": \"" << arch::target() << "\",\n";
   out << "  \"thread_counts\": [";
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     out << (i ? ", " : "") << thread_counts[i];
@@ -829,53 +680,6 @@ int main(int argc, char** argv) {
   }
   bout << "}\n";
   std::cerr << "wrote " << baselines_out_path << "\n";
-
-  // ---- SIMD dispatch sweep (kernel x ISA x strategy) -> BENCH_simd.json ---
-  const std::vector<SimdRow> srows = simd_sweep(prev, curr, reps);
-  std::ofstream sout(simd_out_path);
-  if (!sout) {
-    std::cerr << "cannot open " << simd_out_path << " for writing\n";
-    return 1;
-  }
-  sout << "{\n";
-  sout << "  \"benchmark\": \"simd\",\n";
-  sout << "  \"points\": " << n << ",\n";
-  sout << "  \"reps\": " << reps << ",\n";
-  sout << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-       << ",\n";
-  sout << "  \"detected\": \"" << arch::to_string(arch::detect_best())
-       << "\",\n";
-  sout << "  \"levels\": [";
-  const auto levels = arch::available_levels();
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    sout << (i ? ", " : "") << "\"" << arch::to_string(levels[i]) << "\"";
-  }
-  sout << "],\n";
-  sout << "  \"results\": [\n";
-  for (std::size_t i = 0; i < srows.size(); ++i) {
-    const auto& r = srows[i];
-    sout << "    {\"kernel\": \"" << r.kernel << "\", \"strategy\": \""
-         << r.strategy << "\", \"arch\": \"" << r.arch
-         << "\", \"seconds\": " << r.seconds
-         << ", \"mpoints_per_s\": " << r.mpoints_per_s
-         << ", \"speedup_vs_scalar\": " << r.speedup_vs_scalar << "}"
-         << (i + 1 < srows.size() ? "," : "") << "\n";
-  }
-  sout << "  ],\n";
-  // Headline numbers the CI bench-smoke job gates on: the widest table's
-  // best win over scalar, kernel-level and end-to-end.
-  double best_kernel = 0.0, best_encode = 0.0;
-  for (const auto& r : srows) {
-    if (r.strategy == "-") {
-      best_kernel = std::max(best_kernel, r.speedup_vs_scalar);
-    } else if (r.kernel == "encode") {
-      best_encode = std::max(best_encode, r.speedup_vs_scalar);
-    }
-  }
-  sout << "  \"best_kernel_speedup_vs_scalar\": " << best_kernel << ",\n";
-  sout << "  \"best_encode_speedup_vs_scalar\": " << best_encode << "\n";
-  sout << "}\n";
-  std::cerr << "wrote " << simd_out_path << "\n";
 
   // ---- streaming container I/O sweep -> BENCH_io.json --------------------
   const IoSweep iosweep = io_sweep(std::size_t{1} << 15, reps);

@@ -3,7 +3,7 @@
 //
 //   numarck-inspect run.ckpt      # single container: per-record table
 //   numarck-inspect store_dir/    # store: tier table + per-file health
-//   numarck-inspect --arch        # report the SIMD dispatch decision
+//   numarck-inspect --arch        # report the target the kernels were built for
 #include <sys/stat.h>
 
 #include <cstdio>
@@ -24,8 +24,6 @@ bool is_directory(const char* path) {
 
 int main(int argc, char** argv) {
   if (argc == 2 && std::strcmp(argv[1], "--arch") == 0) {
-    // What would this process run with? Honors NUMARCK_ARCH, so
-    // `NUMARCK_ARCH=scalar numarck-inspect --arch` shows the override too.
     std::cout << numarck::arch::describe() << "\n";
     return 0;
   }
