@@ -1,7 +1,8 @@
 #include "numarck/adaptive/checkpointer.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "numarck/codec/codec.hpp"
 #include "numarck/util/expect.hpp"
@@ -10,19 +11,14 @@ namespace numarck::adaptive {
 
 namespace {
 
-/// Target sample size for the auto-mode codec trial.
-constexpr std::size_t kTrialPoints = 2048;
-
-core::CompressedStep step_from(const codec::Codec& c, codec::EncodeResult res,
-                               std::size_t point_count, unsigned index_bits) {
-  core::CompressedStep step;
-  step.codec_id = c.id();
-  step.point_count = point_count;
-  step.payload = std::move(res.payload);
-  step.stats = res.stats;
-  step.paper_ratio_pct = res.paper_ratio_pct;
-  if (c.id() == codec::kNumarckId) step.index_bits = index_bits;
-  return step;
+/// The options the controller runs with: auto mode resolved to NUMARCK
+/// deltas, and the first-order predictor every skip-broken chain needs.
+AdaptiveOptions resolved(AdaptiveOptions opts) {
+  if (opts.codec.codec_id == codec::kAutoId) {
+    opts.codec.codec_id = codec::kNumarckId;
+  }
+  opts.codec.predictor = core::Predictor::kPrevious;
+  return opts;
 }
 
 }  // namespace
@@ -40,10 +36,8 @@ const char* to_string(Action a) noexcept {
 }
 
 AdaptiveCheckpointer::AdaptiveCheckpointer(const AdaptiveOptions& opts)
-    : opts_(opts) {
-  opts_.codec.validate();
-  NUMARCK_EXPECT(opts_.codec.codec_id == codec::kAutoId ||
-                     codec::find(opts_.codec.codec_id) != nullptr,
+    : opts_(resolved(opts)), comp_(opts_.codec) {
+  NUMARCK_EXPECT(codec::find(opts_.codec.codec_id) != nullptr,
                  "adaptive: unknown codec id");
   NUMARCK_EXPECT(opts_.drift_budget > 0.0, "drift budget must be positive");
   NUMARCK_EXPECT(opts_.max_interval >= 1, "max interval must be >= 1");
@@ -58,10 +52,11 @@ AdaptiveCheckpointer::AdaptiveCheckpointer(const AdaptiveOptions& opts)
 
 double AdaptiveCheckpointer::estimate_drift(
     std::span<const double> snapshot) const {
+  const std::vector<double>& reference = comp_.reference();
   double sum = 0.0;
   std::size_t count = 0;
   for (std::size_t j = 0; j < snapshot.size(); j += opts_.sample_stride) {
-    const double ref = last_written_[j];
+    const double ref = reference[j];
     if (ref == 0.0) continue;
     const double r = (snapshot[j] - ref) / ref;
     if (!std::isfinite(r)) continue;
@@ -71,65 +66,21 @@ double AdaptiveCheckpointer::estimate_drift(
   return count ? sum / static_cast<double>(count) : 0.0;
 }
 
-core::CompressedStep AdaptiveCheckpointer::encode_delta(
-    std::span<const double> snapshot) const {
-  if (opts_.codec.codec_id != codec::kAutoId) {
-    const codec::Codec& c = codec::require(opts_.codec.codec_id);
-    return step_from(c, c.encode(snapshot, last_written_, {}, opts_.codec),
-                     snapshot.size(), opts_.codec.index_bits);
-  }
-
-  // Auto mode. Trial-encode a strided sample with every candidate and rank
-  // by bytes per point; the cost is O(kTrialPoints) per written record.
-  const std::size_t stride =
-      std::max<std::size_t>(1, snapshot.size() / kTrialPoints);
-  std::vector<double> sample_curr, sample_prev;
-  sample_curr.reserve(snapshot.size() / stride + 1);
-  sample_prev.reserve(snapshot.size() / stride + 1);
-  for (std::size_t j = 0; j < snapshot.size(); j += stride) {
-    sample_curr.push_back(snapshot[j]);
-    sample_prev.push_back(last_written_[j]);
-  }
-  const codec::Codec* best = nullptr;
-  std::size_t best_bytes = 0;
-  for (const codec::Codec* c : codec::all()) {
-    try {
-      const codec::EncodeResult trial =
-          c->encode(sample_curr, sample_prev, {}, opts_.codec);
-      if (best == nullptr || trial.payload.size() < best_bytes) {
-        best = c;
-        best_bytes = trial.payload.size();
-      }
-    } catch (const numarck::ContractViolation&) {
-      // Candidate can't handle this shape (e.g. bspline below 8 points).
-    }
-  }
-  NUMARCK_EXPECT(best != nullptr, "adaptive auto: no codec fits the data");
-
-  core::CompressedStep chosen =
-      step_from(*best, best->encode(snapshot, last_written_, {}, opts_.codec),
-                snapshot.size(), opts_.codec.index_bits);
-  if (best->id() == codec::kNumarckId) return chosen;
-  // The sample can mislead; re-encode with NUMARCK at full size and keep the
-  // smaller payload, so auto never produces a larger record than the fixed
-  // default would have.
-  const codec::Codec& numarck = codec::require(codec::kNumarckId);
-  core::CompressedStep fallback = step_from(
-      numarck, numarck.encode(snapshot, last_written_, {}, opts_.codec),
-      snapshot.size(), opts_.codec.index_bits);
-  return fallback.payload.size() <= chosen.payload.size() ? fallback : chosen;
-}
-
 void AdaptiveCheckpointer::write_full(std::span<const double> snapshot,
                                       StepDecision& d) {
+  comp_ = core::VariableCompressor(opts_.codec);
   d.action = Action::kFull;
-  d.step = core::CompressedStep::full_from(snapshot);
+  d.step = comp_.push(snapshot);
   d.bytes_written = d.step.payload.size();
-  last_written_.assign(snapshot.begin(), snapshot.end());
   since_write_ = 0;
   writes_since_full_ = 0;
   ++stats_.fulls;
   stats_.bytes_written += d.bytes_written;
+}
+
+void AdaptiveCheckpointer::restart_chain() {
+  util::MutexLock lk(mu_);
+  comp_ = core::VariableCompressor(opts_.codec);
 }
 
 StepDecision AdaptiveCheckpointer::push(std::span<const double> snapshot) {
@@ -137,11 +88,11 @@ StepDecision AdaptiveCheckpointer::push(std::span<const double> snapshot) {
   StepDecision d;
   ++stats_.snapshots;
 
-  if (last_written_.empty()) {
+  if (comp_.iterations() == 0) {
     write_full(snapshot, d);
     return d;
   }
-  NUMARCK_EXPECT(snapshot.size() == last_written_.size(),
+  NUMARCK_EXPECT(snapshot.size() == comp_.reference().size(),
                  "adaptive: snapshot length changed mid-stream");
 
   ++since_write_;
@@ -155,19 +106,20 @@ StepDecision AdaptiveCheckpointer::push(std::span<const double> snapshot) {
     ++stats_.skips;
     return d;
   }
+  if (writes_since_full_ + 1 >= opts_.rebase_interval) {
+    write_full(snapshot, d);
+    return d;
+  }
 
-  // Encode the delta against the last written state; inspect its quality.
-  core::CompressedStep step = encode_delta(snapshot);
-  const bool degraded =
-      step.stats.incompressible_ratio() > opts_.gamma_rebase;
-  if (degraded || writes_since_full_ + 1 >= opts_.rebase_interval) {
+  // Encode the delta; rebase if the distribution no longer fits the model.
+  core::CompressedStep step = comp_.push(snapshot);
+  if (step.stats.incompressible_ratio() > opts_.gamma_rebase) {
     write_full(snapshot, d);
     return d;
   }
   d.action = Action::kDelta;
   d.step = std::move(step);
   d.bytes_written = d.step.payload.size();
-  last_written_.assign(snapshot.begin(), snapshot.end());
   since_write_ = 0;
   ++writes_since_full_;
   ++stats_.deltas;

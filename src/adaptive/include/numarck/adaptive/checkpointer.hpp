@@ -2,25 +2,26 @@
 // dynamic checkpointing frequency based on how evolving distributions
 // change") made concrete.
 //
-// The AdaptiveCheckpointer wraps the NUMARCK codec with a controller that
-// decides, per simulation snapshot, between three actions:
+// The AdaptiveCheckpointer is a controller over one core::VariableCompressor,
+// which produces every record it writes and receives only the snapshots it
+// writes. Per simulation snapshot it decides between three actions:
 //   kSkip  — the state has barely drifted from the last written checkpoint;
 //            writing now would buy almost no recovery value;
 //   kDelta — drift exceeded the budget (or the max interval elapsed): write
-//            a NUMARCK delta against the last written snapshot;
+//            a delta against the compressor's reference (the last written
+//            snapshot, or its reconstruction in closed-loop mode);
 //   kFull  — the change distribution degraded (incompressible ratio above
 //            the rebase threshold — the encoding is no longer paying for
 //            itself) or the rebase interval elapsed: write a fresh lossless
 //            full checkpoint and restart the delta chain.
 //
 // Drift is estimated cheaply from a strided sample of relative changes
-// against the last *written* state, so skipped iterations cost O(n/stride).
+// against the same reference, so skipped iterations cost O(n/stride).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "numarck/core/compressor.hpp"
 #include "numarck/util/thread_annotations.hpp"
@@ -33,14 +34,13 @@ const char* to_string(Action a) noexcept;
 
 struct AdaptiveOptions {
   /// Codec settings for the written records. codec.codec_id selects the
-  /// delta backend; the codec::kAutoId sentinel enables auto mode, which
-  /// trial-encodes a strided sample per written record, picks the smallest
-  /// backend meeting the error bound, and never writes a delta larger than
-  /// fixed-NUMARCK would have. Note: the controller codes each delta against
-  /// the last *written* snapshot directly, so codec.predictor is ignored
-  /// (records are always first-order) — the linear predictor needs an
-  /// unbroken every-iteration history, which the skip action intentionally
-  /// destroys.
+  /// delta backend; the codec::kAutoId sentinel (auto mode) means NUMARCK
+  /// deltas, with lossless FPC fulls entering only where the rebase rules
+  /// below put them. codec.reference is honoured: kReconstructedPrevious
+  /// codes each delta (and estimates drift) against what restart will hold.
+  /// codec.predictor is ignored (records are always first-order) — the
+  /// linear predictor needs an unbroken every-iteration history, which the
+  /// skip action intentionally destroys.
   core::Options codec;
 
   /// Write a delta once the estimated mean |change ratio| since the last
@@ -88,6 +88,11 @@ class AdaptiveCheckpointer {
     std::size_t skips = 0;
     std::size_t bytes_written = 0;
   };
+  /// Drops the delta chain: the next push writes a full checkpoint whatever
+  /// its drift. For writers whose last record never reached storage (a
+  /// failed store put), so no later record chains against it.
+  void restart_chain() EXCLUDES(mu_);
+
   /// Snapshot of the counters; by value so the caller's copy cannot tear
   /// against a concurrent push().
   [[nodiscard]] Stats stats() const EXCLUDES(mu_) {
@@ -106,20 +111,18 @@ class AdaptiveCheckpointer {
   [[nodiscard]] double estimate_drift(std::span<const double> snapshot) const
       REQUIRES(mu_);
 
-  /// Encodes the pending delta with the configured backend, or — in auto
-  /// mode — with the winner of a strided trial across all non-temporal-safe
-  /// candidates, floored by NUMARCK so auto never loses to the fixed default.
-  [[nodiscard]] core::CompressedStep encode_delta(
-      std::span<const double> snapshot) const REQUIRES(mu_);
-
-  /// Writes a lossless full checkpoint into `d` and resets the delta chain.
+  /// Writes a lossless full checkpoint into `d` as the first push of a
+  /// fresh compressor, restarting the delta chain.
   void write_full(std::span<const double> snapshot, StepDecision& d)
       REQUIRES(mu_);
 
-  AdaptiveOptions opts_;  ///< immutable after construction
+  /// Immutable after construction; codec_id is resolved (never kAutoId) and
+  /// the predictor forced to kPrevious.
+  AdaptiveOptions opts_;
   mutable util::Mutex mu_;
-  /// Reference for drift + delta coding.
-  std::vector<double> last_written_ GUARDED_BY(mu_);
+  /// Produces every record; its reference() is the drift and delta
+  /// reference. Fresh (no iterations) until the first full is written.
+  core::VariableCompressor comp_ GUARDED_BY(mu_);
   std::size_t since_write_ GUARDED_BY(mu_) = 0;
   std::size_t writes_since_full_ GUARDED_BY(mu_) = 0;
   Stats stats_ GUARDED_BY(mu_);

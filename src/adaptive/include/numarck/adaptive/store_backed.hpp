@@ -28,10 +28,10 @@ struct StoreStepReport {
 /// Drives an AdaptiveCheckpointer into a single-variable CheckpointStore.
 ///
 /// If a put() fails (ENOSPC, EIO — the store surfaces every I/O error), the
-/// exception propagates and the next written step is forced to a full
-/// checkpoint: the controller's delta reference advanced when it decided to
-/// write, but the store never acknowledged that entry, so chaining the next
-/// delta against it would corrupt the stream.
+/// exception propagates and the controller restarts its chain, so the next
+/// push writes (and counts) a full checkpoint: the controller's reference
+/// advanced when it decided to write, but the store never acknowledged that
+/// entry, so neither a delta nor a skip may be judged against it.
 class StoreBackedCheckpointer {
  public:
   /// `store` must outlive this object and hold exactly one variable.
@@ -54,9 +54,6 @@ class StoreBackedCheckpointer {
   store::CheckpointStore& store_;
   AdaptiveCheckpointer inner_;
   std::string variable_;
-  /// Set when a put() failed after the controller committed to a write; the
-  /// next written step rebases to a full checkpoint to restart the chain.
-  bool pending_rebase_ = false;
 };
 
 }  // namespace numarck::adaptive

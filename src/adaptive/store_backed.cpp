@@ -24,26 +24,17 @@ StoreStepReport StoreBackedCheckpointer::push(std::size_t iteration,
   report.estimated_drift = decision.estimated_drift;
   if (decision.action == Action::kSkip) return report;
 
-  if (pending_rebase_ && decision.action == Action::kDelta) {
-    // The previous write was never acknowledged (its put() threw), so the
-    // delta the controller just coded would chain against an entry the store
-    // does not have. The controller's reference is this very snapshot, so a
-    // lossless full of it both restarts the chain and keeps drift accounting
-    // consistent.
-    decision.step = core::CompressedStep::full_from(snapshot);
-    report.action = Action::kFull;
-  }
-
   std::map<std::string, core::CompressedStep> steps;
   report.bytes_written = decision.step.stored_bytes();
   steps.emplace(variable_, std::move(decision.step));
   try {
     store_.put(iteration, sim_time, steps);
   } catch (...) {
-    pending_rebase_ = true;
+    // The store never acknowledged this record: no later record may chain
+    // against it, nor may drift be measured from it.
+    inner_.restart_chain();
     throw;
   }
-  pending_rebase_ = false;
   report.acknowledged = true;
   return report;
 }

@@ -61,10 +61,10 @@ class NumarckCodec final : public Codec {
   const char* name() const noexcept override { return "numarck"; }
   Caps caps() const noexcept override { return {true, true, false}; }
 
-  EncodeResult encode(std::span<const double> current,
-                      std::span<const double> previous,
-                      std::span<const double> previous2,
-                      const core::Options& opts) const override {
+  core::CompressedStep encode(std::span<const double> current,
+                              std::span<const double> previous,
+                              std::span<const double> previous2,
+                              const core::Options& opts) const override {
     NUMARCK_EXPECT(previous.size() == current.size(),
                    "numarck codec: needs a reference snapshot of equal length");
     const bool linear =
@@ -75,11 +75,14 @@ class NumarckCodec final : public Codec {
                : core::encode_iteration(previous, current, opts);
     enc.predictor =
         linear ? core::Predictor::kLinear : core::Predictor::kPrevious;
-    EncodeResult res;
-    res.payload = enc.serialize(opts.postpass);
-    res.stats = enc.stats;
-    res.paper_ratio_pct = enc.paper_compression_ratio();
-    return res;
+    core::CompressedStep step;
+    step.codec_id = kNumarckId;
+    step.point_count = enc.point_count;
+    step.payload = enc.serialize(opts.postpass);
+    step.stats = enc.stats;
+    step.paper_ratio_pct = enc.paper_compression_ratio();
+    step.index_bits = enc.index_bits;
+    return step;
   }
 
   std::vector<double> decode(std::span<const std::uint8_t> payload,
@@ -124,16 +127,18 @@ class FpcCodec final : public Codec {
   const char* name() const noexcept override { return "fpc"; }
   Caps caps() const noexcept override { return {false, true, true}; }
 
-  EncodeResult encode(std::span<const double> current,
-                      std::span<const double> /*previous*/,
-                      std::span<const double> /*previous2*/,
-                      const core::Options& /*opts*/) const override {
-    EncodeResult res;
-    res.payload = lossless::fpc_compress(current);
-    res.stats.total_points = current.size();
-    res.stats.binned = current.size();
-    res.paper_ratio_pct = honest_ratio_pct(res.payload.size(), current.size());
-    return res;
+  core::CompressedStep encode(std::span<const double> current,
+                              std::span<const double> /*previous*/,
+                              std::span<const double> /*previous2*/,
+                              const core::Options& /*opts*/) const override {
+    core::CompressedStep step;
+    step.codec_id = kFpcId;
+    step.point_count = current.size();
+    step.payload = lossless::fpc_compress(current);
+    step.stats.total_points = current.size();
+    step.stats.binned = current.size();
+    step.paper_ratio_pct = honest_ratio_pct(step.payload.size(), current.size());
+    return step;
   }
 
   std::vector<double> decode(std::span<const std::uint8_t> payload,
@@ -254,18 +259,20 @@ class SpatialCodec : public Codec {
  public:
   Caps caps() const noexcept final { return {false, true, false}; }
 
-  EncodeResult encode(std::span<const double> current,
-                      std::span<const double> /*previous*/,
-                      std::span<const double> /*previous2*/,
-                      const core::Options& opts) const final {
+  core::CompressedStep encode(std::span<const double> current,
+                              std::span<const double> /*previous*/,
+                              std::span<const double> /*previous2*/,
+                              const core::Options& opts) const final {
     Compressed model = fit(current, opts);
     std::vector<double> recon = evaluate(model);
-    EncodeResult res;
-    res.payload = patch_and_wrap(
+    core::CompressedStep step;
+    step.codec_id = id();
+    step.point_count = current.size();
+    step.payload = patch_and_wrap(
         model.serialize(), current, recon, opts.error_bound,
-        opts.pool ? *opts.pool : util::ThreadPool::global(), res.stats);
-    res.paper_ratio_pct = honest_ratio_pct(res.payload.size(), current.size());
-    return res;
+        opts.pool ? *opts.pool : util::ThreadPool::global(), step.stats);
+    step.paper_ratio_pct = honest_ratio_pct(step.payload.size(), current.size());
+    return step;
   }
 
   std::vector<double> decode(std::span<const std::uint8_t> payload,

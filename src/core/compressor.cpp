@@ -1,5 +1,7 @@
 #include "numarck/core/compressor.hpp"
 
+#include <utility>
+
 #include "numarck/codec/codec.hpp"
 #include "numarck/lossless/fpc.hpp"
 #include "numarck/util/expect.hpp"
@@ -15,31 +17,8 @@ CompressedStep CompressedStep::full_from(std::span<const double> snapshot) {
   return step;
 }
 
-CompressedStep CompressedStep::from_encoded(const EncodedIteration& enc,
-                                            const Postpass& postpass) {
-  CompressedStep step;
-  step.codec_id = codec::kNumarckId;
-  step.point_count = enc.point_count;
-  step.payload = enc.serialize(postpass);
-  step.stats = enc.stats;
-  step.paper_ratio_pct = enc.paper_compression_ratio();
-  step.index_bits = enc.index_bits;
-  return step;
-}
-
 VariableCompressor::VariableCompressor(Options opts) : opts_(opts) {
   opts_.validate();
-}
-
-std::vector<double> VariableCompressor::prediction_base() const {
-  if (opts_.predictor == Predictor::kLinear && !reference2_.empty()) {
-    std::vector<double> base(reference_.size());
-    for (std::size_t j = 0; j < base.size(); ++j) {
-      base[j] = 2.0 * reference_[j] - reference2_[j];
-    }
-    return base;
-  }
-  return reference_;
 }
 
 CompressedStep VariableCompressor::push(std::span<const double> snapshot) {
@@ -52,23 +31,19 @@ CompressedStep VariableCompressor::push(std::span<const double> snapshot) {
   NUMARCK_EXPECT(snapshot.size() == reference_.size(),
                  "VariableCompressor: snapshot length changed mid-stream");
   const codec::Codec& c = codec::require(opts_.codec_id);
-  codec::EncodeResult res = c.encode(snapshot, reference_, reference2_, opts_);
-  CompressedStep step;
-  step.codec_id = c.id();
-  step.point_count = snapshot.size();
-  step.payload = std::move(res.payload);
-  step.stats = res.stats;
-  step.paper_ratio_pct = res.paper_ratio_pct;
-  if (c.id() == codec::kNumarckId) step.index_bits = opts_.index_bits;
+  CompressedStep step = c.encode(snapshot, reference_, reference2_, opts_);
+  // Only the linear predictor reads D_{i-2}; otherwise reference2_ stays
+  // empty and the reference is overwritten in place.
+  const bool keep2 = opts_.predictor == Predictor::kLinear;
   if (opts_.reference == Reference::kTruePrevious) {
-    reference2_ = reference_;
+    if (keep2) std::swap(reference2_, reference_);
     reference_.assign(snapshot.begin(), snapshot.end());
   } else {
     // Closed loop: predict the next iteration from what the decoder will
     // actually hold, so per-iteration bounds apply to the *absolute* state.
     std::vector<double> recon =
         c.decode(step.payload, reference_, reference2_, snapshot.size());
-    reference2_ = std::move(reference_);
+    if (keep2) reference2_ = std::move(reference_);
     reference_ = std::move(recon);
   }
   ++iter_;

@@ -29,7 +29,7 @@
 #include <string_view>
 #include <vector>
 
-#include "numarck/core/encoded.hpp"
+#include "numarck/core/compressor.hpp"
 #include "numarck/core/options.hpp"
 
 namespace numarck::codec {
@@ -41,8 +41,9 @@ inline constexpr std::uint8_t kFpcId = 1;
 inline constexpr std::uint8_t kIsabelaId = 2;
 inline constexpr std::uint8_t kBsplineId = 3;
 
-/// Sentinel for "pick per variable" (AdaptiveCheckpointer kAuto mode and the
-/// CLI `--codec auto`). Never written to disk.
+/// Sentinel for auto mode (the CLI parses `--codec auto` to it). Only
+/// AdaptiveCheckpointer accepts it: NUMARCK deltas, FPC fulls at its
+/// rebases. Never written to disk.
 inline constexpr std::uint8_t kAutoId = 0xFF;
 
 /// Capability flags the container and restart layers dispatch on.
@@ -55,19 +56,6 @@ struct Caps {
   bool lossless = false;
 };
 
-/// What an encode produces: the exact on-disk payload plus the encoder-side
-/// bookkeeping the reporting layers consume.
-struct EncodeResult {
-  std::vector<std::uint8_t> payload;
-  /// Per-point accounting. For the spatial codecs, `exact_out_of_bound`
-  /// counts patched points, so incompressible_ratio() is comparable across
-  /// backends.
-  core::IterationStats stats;
-  /// Eq.3-style compression ratio in percent (honest payload accounting for
-  /// the non-NUMARCK codecs).
-  double paper_ratio_pct = 0.0;
-};
-
 class Codec {
  public:
   virtual ~Codec() = default;
@@ -76,11 +64,14 @@ class Codec {
   [[nodiscard]] virtual const char* name() const noexcept = 0;
   [[nodiscard]] virtual Caps caps() const noexcept = 0;
 
-  /// Encodes `current`. Temporal codecs code against `previous` (and use
-  /// `previous2` for the linear-extrapolation base when
+  /// Encodes `current` into a delta step: the exact on-disk payload plus
+  /// its codec id, point count, stats and Eq. 3-style ratio (for the spatial
+  /// codecs, `stats.exact_out_of_bound` counts patched points and the ratio
+  /// is honest payload accounting). Temporal codecs code against `previous`
+  /// (and use `previous2` for the linear-extrapolation base when
   /// `opts.predictor == kLinear`); spatial codecs ignore both. Throws
   /// ContractViolation when a temporal codec is given no reference.
-  [[nodiscard]] virtual EncodeResult encode(
+  [[nodiscard]] virtual core::CompressedStep encode(
       std::span<const double> current, std::span<const double> previous,
       std::span<const double> previous2, const core::Options& opts) const = 0;
 

@@ -50,11 +50,6 @@ struct CompressedStep {
 
   /// A lossless full checkpoint (FPC codec) of `snapshot`.
   static CompressedStep full_from(std::span<const double> snapshot);
-
-  /// Wraps an already-encoded NUMARCK iteration (the distributed encoder
-  /// produces those) as a delta step, serializing with `postpass`.
-  static CompressedStep from_encoded(const EncodedIteration& enc,
-                                     const Postpass& postpass = Postpass::none());
 };
 
 class VariableCompressor {
@@ -77,12 +72,10 @@ class VariableCompressor {
   [[nodiscard]] const Options& options() const noexcept { return opts_; }
 
  private:
-  /// Prediction base for the next snapshot (see Options::predictor).
-  [[nodiscard]] std::vector<double> prediction_base() const;
-
   Options opts_;
   std::vector<double> reference_;    ///< D_{i-1} (true or reconstructed)
-  std::vector<double> reference2_;   ///< D_{i-2}, for the linear predictor
+  /// D_{i-2}; held only under Predictor::kLinear, empty otherwise.
+  std::vector<double> reference2_;
   std::size_t iter_ = 0;
 };
 

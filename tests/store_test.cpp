@@ -721,6 +721,43 @@ TEST(Store, AdaptiveCheckpointerWritesThroughTheStore) {
   }
 }
 
+TEST(Store, AdaptiveFailedPutRestartsTheChainWithAFull) {
+  StoreDir t("adaptive-erring");
+  { ns::CheckpointStore create(t.dir, {kVar}); }
+  // Exactly one container write fails: the one for iteration 1.
+  ns::StoreOptions opts;
+  opts.sink_factory =
+      [](const std::string& path) -> std::unique_ptr<nio::ByteSink> {
+    auto inner = std::make_unique<nio::FileSink>(path);
+    if (path.ends_with("it00000001.nck.tmp")) {
+      return std::make_unique<nio::ErringFile>(
+          std::move(inner), nio::ErringFile::Op::kWrite, 0, ENOSPC);
+    }
+    return inner;
+  };
+  ns::CheckpointStore s(t.dir, opts);
+  numarck::adaptive::StoreBackedCheckpointer ckpt(
+      s, numarck::adaptive::AdaptiveOptions{});
+
+  EXPECT_TRUE(ckpt.push(0, 0.0, snap(64, 0.0)).acknowledged);
+  const auto moved = snap(64, 10.0);  // drift far over the 1 % budget
+  EXPECT_ANY_THROW((void)ckpt.push(1, 1.0, moved));
+  ASSERT_EQ(s.list().size(), 1u);
+
+  // The controller decided to write `moved`, but the store never took it:
+  // pushing it again must not be judged against it (a skip would leave the
+  // store's latest stale), and must restart the chain with a full.
+  const auto report = ckpt.push(2, 2.0, moved);
+  EXPECT_EQ(report.action, numarck::adaptive::Action::kFull);
+  EXPECT_TRUE(report.acknowledged);
+  EXPECT_EQ(ckpt.stats().fulls, 2u);
+  EXPECT_EQ(ckpt.staleness(), 0u);
+  ASSERT_EQ(s.list().size(), 2u);
+  EXPECT_EQ(s.list().back().iteration, 2u);
+  EXPECT_TRUE(s.list().back().reference_free);
+  EXPECT_EQ(s.get_variable(kVar, 2), moved);
+}
+
 // ---------------------------------------------------------- forged records --
 // Records whose CRC is valid but whose payload is structurally broken. The
 // chain-replay restore paths read records CRC-checked only and leave the

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "numarck/codec/codec.hpp"
 #include "numarck/core/compressor.hpp"
 #include "numarck/distributed/encoder.hpp"
 #include "numarck/distributed/recovery.hpp"
@@ -318,7 +319,9 @@ CrashTrialResult run_world_fault_trial(const CrashTrialConfig& cfg) {
         } else {
           auto enc =
               distributed::encode_iteration(comm, recon.state(), current, opts);
-          step = core::CompressedStep::from_encoded(enc.local, opts.postpass);
+          step.codec_id = codec::kNumarckId;
+          step.point_count = enc.local.point_count;
+          step.payload = enc.local.serialize(opts.postpass);
         }
         recon.push(step);
         writer.append("state", i, static_cast<double>(i), step);

@@ -1,4 +1,4 @@
-// Registration shim: packages the three project checks as an out-of-tree
+// Registration shim: packages the two project checks as an out-of-tree
 // clang-tidy module, loaded with `clang-tidy -load=numarck-tidy-module.so`.
 // The library links nothing — its undefined symbols resolve from the host
 // clang-tidy process at dlopen time, which also guarantees the module
@@ -7,7 +7,6 @@
 #include "clang-tidy/ClangTidyModuleRegistry.h"
 
 #include "DecodeThrowsCheck.h"
-#include "KernelIsaPurityCheck.h"
 #include "UncheckedDeserializeCheck.h"
 
 namespace clang::tidy {
@@ -18,8 +17,6 @@ public:
   void addCheckFactories(ClangTidyCheckFactories &CheckFactories) override {
     CheckFactories.registerCheck<UncheckedDeserializeCheck>(
         "numarck-unchecked-deserialize");
-    CheckFactories.registerCheck<KernelIsaPurityCheck>(
-        "numarck-kernel-isa-purity");
     CheckFactories.registerCheck<DecodeThrowsCheck>("numarck-decode-throws");
   }
 };

@@ -205,7 +205,7 @@ std::vector<BaselineRow> baselines_sweep(std::size_t n, std::size_t reps) {
   for (const codec::Codec* c : codec::all()) {
     core::Options opts;
     opts.codec_id = c->id();
-    codec::EncodeResult res;
+    core::CompressedStep res;
     const double enc_s = best_seconds(
         reps, [&] { res = c->encode(curr, prev, {}, opts); });
     const double dec_s = best_seconds(reps, [&] {
