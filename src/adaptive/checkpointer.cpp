@@ -81,12 +81,14 @@ void AdaptiveCheckpointer::write_full(std::span<const double> snapshot,
 void AdaptiveCheckpointer::restart_chain() {
   util::MutexLock lk(mu_);
   comp_ = core::VariableCompressor(opts_.codec);
+  since_write_ = unacked_staleness_;
 }
 
 StepDecision AdaptiveCheckpointer::push(std::span<const double> snapshot) {
   util::MutexLock lk(mu_);
   StepDecision d;
   ++stats_.snapshots;
+  unacked_staleness_ = since_write_ + 1;
 
   if (comp_.iterations() == 0) {
     write_full(snapshot, d);

@@ -90,7 +90,8 @@ class AdaptiveCheckpointer {
   };
   /// Drops the delta chain: the next push writes a full checkpoint whatever
   /// its drift. For writers whose last record never reached storage (a
-  /// failed store put), so no later record chains against it.
+  /// failed store put), so no later record chains against it; staleness()
+  /// goes back to what it was before that push, plus the push itself.
   void restart_chain() EXCLUDES(mu_);
 
   /// Snapshot of the counters; by value so the caller's copy cannot tear
@@ -124,6 +125,9 @@ class AdaptiveCheckpointer {
   /// reference. Fresh (no iterations) until the first full is written.
   core::VariableCompressor comp_ GUARDED_BY(mu_);
   std::size_t since_write_ GUARDED_BY(mu_) = 0;
+  /// since_write_ had the last push written nothing: what restart_chain()
+  /// restores when that write never reached storage.
+  std::size_t unacked_staleness_ GUARDED_BY(mu_) = 0;
   std::size_t writes_since_full_ GUARDED_BY(mu_) = 0;
   Stats stats_ GUARDED_BY(mu_);
 };

@@ -1,6 +1,7 @@
 #include "numarck/core/codec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -284,6 +285,31 @@ EncodedIteration finish_encode(std::span<const double> previous,
   return enc;
 }
 
+/// True when bits [bit, bit + count) of an LSB-first stream are all zero,
+/// tested 56 bits per word load (the caller has checked the range against
+/// the stream length).
+bool bits_are_zero(const std::uint8_t* bytes, std::size_t size_bytes,
+                   std::size_t bit, std::size_t count) {
+  while (count > 0) {
+    const unsigned take = count < 56 ? static_cast<unsigned>(count) : 56;
+    const std::size_t byte = bit >> 3;
+    const unsigned phase = static_cast<unsigned>(bit & 7);
+    std::uint64_t w = 0;
+    if (std::endian::native == std::endian::little &&
+        byte + 8 <= size_bytes) {
+      std::memcpy(&w, bytes + byte, sizeof w);
+    } else {
+      for (unsigned got = 0; got < phase + take; got += 8) {
+        w |= static_cast<std::uint64_t>(bytes[byte + got / 8]) << got;
+      }
+    }
+    if (((w >> phase) & ((std::uint64_t{1} << take) - 1)) != 0) return false;
+    bit += take;
+    count -= take;
+  }
+  return true;
+}
+
 }  // namespace
 
 namespace detail {
@@ -339,6 +365,7 @@ void decode_span(const double* previous, const EncodedIteration& enc,
   const double* exact = enc.exact_values.data();
   const unsigned B = enc.index_bits;
   const std::uint64_t mask = B == 32 ? 0xffffffffull : ((1ull << B) - 1);
+  const bool in_place = out == previous;
   std::size_t exact_pos = i0 - comp_before;
   std::size_t index_bit = comp_before * B;
 
@@ -369,7 +396,15 @@ void decode_span(const double* previous, const EncodedIteration& enc,
     if (z == 0x00) {  // 8 exact values
       std::memcpy(out + j, exact + exact_pos, 8 * sizeof(double));
       exact_pos += 8;
-    } else if (z == 0xFF) {  // 8 indices
+    } else if (z == 0xFF) {  // 8 indices: exactly B bytes of the stream
+      if (bits_are_zero(indices, indices_size, index_bit, 8 * B)) {
+        // All carry `previous`; in place there is nothing to write.
+        if (!in_place) {
+          std::memcpy(out + j, previous + j, 8 * sizeof(double));
+        }
+        index_bit += 8 * B;
+        continue;
+      }
       std::uint32_t idx[8];
       std::uint32_t top = 0;
       for (unsigned k = 0; k < 8; ++k) {
@@ -378,10 +413,6 @@ void decode_span(const double* previous, const EncodedIteration& enc,
         top = std::max(top, idx[k]);
       }
       NUMARCK_EXPECT(top <= center_count, "decode: index out of table");
-      if (top == 0) {
-        std::memcpy(out + j, previous + j, 8 * sizeof(double));
-        continue;
-      }
       // Branch-free lanes: index 0 selects `previous` itself, so it is
       // carried bit for bit (NaN payloads included).
       for (unsigned k = 0; k < 8; ++k) {
@@ -436,14 +467,19 @@ EncodedIteration encode_iteration_with_model(std::span<const double> previous,
   return finish_encode(previous, current, model, opts, pool, labels, cs);
 }
 
-std::vector<double> decode_iteration(std::span<const double> previous,
-                                     const EncodedIteration& enc,
-                                     util::ThreadPool* pool) {
-  NUMARCK_EXPECT(previous.size() == enc.point_count,
-                 "decode: previous snapshot has wrong length");
-  auto& tp = pool ? *pool : util::ThreadPool::global();
+void decode_iteration_into(std::span<const double> previous,
+                           const EncodedIteration& enc, std::span<double> out,
+                           util::ThreadPool* pool) {
   const std::size_t n = enc.point_count;
-  std::vector<double> out(n);
+  NUMARCK_EXPECT(previous.size() == n,
+                 "decode: previous snapshot has wrong length");
+  NUMARCK_EXPECT(out.size() == n, "decode: output span has wrong length");
+  const auto lo = reinterpret_cast<std::uintptr_t>(out.data());
+  const auto plo = reinterpret_cast<std::uintptr_t>(previous.data());
+  NUMARCK_EXPECT(n == 0 || lo == plo || lo + n * sizeof(double) <= plo ||
+                     plo + n * sizeof(double) <= lo,
+                 "decode: output partially overlaps the previous snapshot");
+  auto& tp = pool ? *pool : util::ThreadPool::global();
 
   // One validated span path for every thread count: a popcount pass over ζ
   // rebuilds the per-chunk compressible counts the encoder packed with, the
@@ -476,6 +512,13 @@ std::vector<double> decode_iteration(std::span<const double> previous,
         detail::decode_span(previous.data(), enc, i0, i1, comp_before[c],
                             out.data());
       });
+}
+
+std::vector<double> decode_iteration(std::span<const double> previous,
+                                     const EncodedIteration& enc,
+                                     util::ThreadPool* pool) {
+  std::vector<double> out(enc.point_count);
+  decode_iteration_into(previous, enc, out, pool);
   return out;
 }
 

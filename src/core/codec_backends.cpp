@@ -89,20 +89,8 @@ class NumarckCodec final : public Codec {
                              std::span<const double> previous,
                              std::span<const double> previous2,
                              std::size_t expected_points) const override {
-    // The caller's expected size doubles as the deserializer's forged-count
-    // bound. When the caller does not know it (0: chain replay reads records
-    // CRC-checked only), a delta can hold no more points than its reference;
-    // only a reference-less call falls back to the built-in ceiling.
-    const std::size_t bound =
-        expected_points != 0 ? expected_points
-        : !previous.empty()  ? previous.size()
-                             : core::EncodedIteration::kDefaultMaxPointCount;
     const core::EncodedIteration enc =
-        core::EncodedIteration::deserialize(payload, bound);
-    if (expected_points != 0) {
-      NUMARCK_EXPECT(enc.point_count == expected_points,
-                     "numarck codec: payload point count mismatch");
-    }
+        parse(payload, previous, expected_points);
     if (enc.predictor == core::Predictor::kLinear) {
       NUMARCK_EXPECT(previous2.size() == previous.size() && !previous2.empty(),
                      "numarck codec: linear-coded delta without two states");
@@ -111,9 +99,45 @@ class NumarckCodec final : public Codec {
     return core::decode_iteration(previous, enc);
   }
 
+  bool reads_previous2(
+      std::span<const std::uint8_t> payload) const noexcept override {
+    const auto prefix = core::EncodedIteration::peek(payload);
+    return !prefix || prefix->predictor != core::Predictor::kPrevious;
+  }
+
+  void decode_in_place(std::span<const std::uint8_t> payload,
+                       std::span<double> state,
+                       std::size_t expected_points) const override {
+    const core::EncodedIteration enc = parse(payload, state, expected_points);
+    NUMARCK_EXPECT(enc.predictor == core::Predictor::kPrevious,
+                   "numarck codec: linear-coded delta without two states");
+    core::decode_iteration_into(state, enc, state);
+  }
+
   std::size_t validate_payload(
       std::span<const std::uint8_t> payload) const override {
     return core::EncodedIteration::deserialize(payload).point_count;
+  }
+
+ private:
+  static core::EncodedIteration parse(std::span<const std::uint8_t> payload,
+                                      std::span<const double> previous,
+                                      std::size_t expected_points) {
+    // The caller's expected size doubles as the deserializer's forged-count
+    // bound. When the caller does not know it (0: chain replay reads records
+    // CRC-checked only), a delta can hold no more points than its reference;
+    // only a reference-less call falls back to the built-in ceiling.
+    const std::size_t bound =
+        expected_points != 0 ? expected_points
+        : !previous.empty()  ? previous.size()
+                             : core::EncodedIteration::kDefaultMaxPointCount;
+    core::EncodedIteration enc =
+        core::EncodedIteration::deserialize(payload, bound);
+    if (expected_points != 0) {
+      NUMARCK_EXPECT(enc.point_count == expected_points,
+                     "numarck codec: payload point count mismatch");
+    }
+    return enc;
   }
 };
 
@@ -357,6 +381,15 @@ const BsplineCodec kBspline;
 const Codec* const kRegistry[] = {&kNumarck, &kFpc, &kIsabela, &kBspline};
 
 }  // namespace
+
+void Codec::decode_in_place(std::span<const std::uint8_t> payload,
+                            std::span<double> state,
+                            std::size_t expected_points) const {
+  const std::vector<double> out = decode(payload, state, {}, expected_points);
+  NUMARCK_EXPECT(out.size() == state.size(),
+                 "codec: in-place decode changed the point count");
+  std::copy(out.begin(), out.end(), state.begin());
+}
 
 std::span<const Codec* const> all() noexcept { return kRegistry; }
 

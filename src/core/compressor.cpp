@@ -50,23 +50,50 @@ CompressedStep VariableCompressor::push(std::span<const double> snapshot) {
   return step;
 }
 
-void VariableReconstructor::push(const CompressedStep& step) {
+void VariableReconstructor::push(const CompressedStep& step,
+                                 bool keep_previous) {
   const codec::Codec& c = codec::require(step.codec_id);
   NUMARCK_EXPECT(!step.is_full || !c.caps().temporal,
                  "reconstructor: full record with a temporal codec");
   NUMARCK_EXPECT(iter_ > 0 || starts_chain(step.is_full, step.codec_id),
                  "reconstructor: delta before the full record");
-  std::vector<double> next =
-      c.decode(step.payload, state_, state2_, step.point_count);
-  if (step.is_full) {
-    // A full record is always accepted: mid-stream it is a rebase (the
-    // adaptive controller emits those), resetting the delta chain.
-    state2_.clear();
+  // A full record is always accepted: mid-stream it is a rebase (the
+  // adaptive controller emits those), resetting the delta chain.
+  const bool keep = keep_previous && !step.is_full;
+  if (c.caps().temporal && !c.reads_previous2(step.payload)) {
+    if (keep) {
+      state2_.assign(state_.begin(), state_.end());
+    } else {
+      state2_.clear();
+    }
+    try {
+      c.decode_in_place(step.payload, state_, step.point_count);
+    } catch (...) {
+      *this = VariableReconstructor{};
+      throw;
+    }
   } else {
-    state2_ = std::move(state_);
+    std::vector<double> out =
+        c.decode(step.payload, state_, state2_, step.point_count);
+    if (keep) {
+      std::swap(state2_, state_);
+    } else {
+      state2_.clear();
+    }
+    state_ = std::move(out);
   }
-  state_ = std::move(next);
   ++iter_;
+}
+
+std::vector<double> VariableReconstructor::release_state() noexcept {
+  std::vector<double> out = std::move(state_);
+  *this = VariableReconstructor{};
+  return out;
+}
+
+bool reads_previous2(const CompressedStep& step) noexcept {
+  const codec::Codec* c = codec::find(step.codec_id);
+  return c == nullptr || (!step.is_full && c->reads_previous2(step.payload));
 }
 
 bool starts_chain(bool is_full, std::uint8_t codec_id) noexcept {
@@ -77,20 +104,46 @@ bool starts_chain(bool is_full, std::uint8_t codec_id) noexcept {
 
 void ChainReplay::replay_to(std::size_t start, std::size_t target,
                             const RecordLoader& load) {
+  replay(start, target, load, /*keep_at_target=*/true);
+}
+
+std::vector<std::vector<double>> ChainReplay::restore(
+    std::size_t start, std::size_t target, const RecordLoader& load) {
+  replay(start, target, load, /*keep_at_target=*/false);
+  start_.reset();
+  std::vector<std::vector<double>> out;
+  out.reserve(recon_.size());
+  for (auto& r : recon_) out.push_back(r.release_state());
+  return out;
+}
+
+void ChainReplay::replay(std::size_t start, std::size_t target,
+                         const RecordLoader& load, bool keep_at_target) {
   NUMARCK_EXPECT(start <= target, "chain replay: start after the target");
   if (start_ != start || target + 1 < next_) {
     for (auto& r : recon_) r = VariableReconstructor{};
     start_ = start;
     next_ = start;
   }
+  const auto load_at = [&](std::size_t position,
+                           std::vector<CompressedStep>& out) {
+    out.clear();
+    load(position, out);
+    NUMARCK_EXPECT(out.size() == recon_.size(),
+                   "chain replay: loader returned the wrong record count");
+  };
   std::vector<CompressedStep> steps;
+  std::vector<CompressedStep> ahead;
   try {
+    if (next_ <= target) load_at(next_, steps);
     for (; next_ <= target; ++next_) {
-      steps.clear();
-      load(next_, steps);
-      NUMARCK_EXPECT(steps.size() == recon_.size(),
-                     "chain replay: loader returned the wrong record count");
-      for (std::size_t v = 0; v < steps.size(); ++v) recon_[v].push(steps[v]);
+      const bool last = next_ == target;
+      if (!last) load_at(next_ + 1, ahead);
+      for (std::size_t v = 0; v < steps.size(); ++v) {
+        recon_[v].push(steps[v], last ? keep_at_target
+                                      : reads_previous2(ahead[v]));
+      }
+      std::swap(steps, ahead);
     }
   } catch (...) {
     start_.reset();

@@ -82,6 +82,23 @@ class Codec {
       std::span<const double> previous2,
       std::size_t expected_points) const = 0;
 
+  /// Whether decoding this payload reads `previous2` (a linear-coded
+  /// numarck delta). The restore path asks it of the record that follows
+  /// the one it decodes, to keep D'_{i-1} only when that record needs it.
+  /// Cheap (a header peek, no validation); true when unsure.
+  [[nodiscard]] virtual bool reads_previous2(
+      std::span<const std::uint8_t> /*payload*/) const noexcept {
+    return false;
+  }
+
+  /// decode() of a record that does not read `previous2`, with `state` as
+  /// the reference on entry and the reconstruction on return. numarck
+  /// writes only the points that change; the default decodes into a fresh
+  /// vector and copies it over. A throw may leave `state` partly decoded.
+  virtual void decode_in_place(std::span<const std::uint8_t> payload,
+                               std::span<double> state,
+                               std::size_t expected_points) const;
+
   /// Structurally parses (and bounds-checks) a payload without producing
   /// the reconstructed values, returning its point count. Throws
   /// ContractViolation on any malformed stream. How much it parses is per

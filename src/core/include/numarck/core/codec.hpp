@@ -58,6 +58,14 @@ std::vector<double> decode_iteration(std::span<const double> previous,
                                      const EncodedIteration& enc,
                                      util::ThreadPool* pool = nullptr);
 
+/// decode_iteration into the caller's `out` (enc.point_count values), which
+/// may be `previous` itself but must not partially overlap it. In place, a
+/// point whose index is 0 keeps its value and is never written. Runs the
+/// same checks as decode_iteration; a throw may leave `out` partly decoded.
+void decode_iteration_into(std::span<const double> previous,
+                           const EncodedIteration& enc, std::span<double> out,
+                           util::ThreadPool* pool = nullptr);
+
 namespace detail {
 
 // The two per-point loops of the codec, exposed so the kernel tests and
@@ -84,9 +92,11 @@ ClassifyStats classify_span(const double* previous, const double* current,
 
 /// Decodes points [i0, i1) of `enc` into out[i0, i1), where `comp_before`
 /// is the number of compressible points before i0 (the ζ popcount up to
-/// i0). The stream lengths must already be validated against ζ, as
-/// decode_iteration does; an index past the center table throws
-/// ContractViolation.
+/// i0). `out` may equal `previous` (in-place decode). A ζ = 0xFF group whose
+/// 8 indices are all zero is detected with word loads and carries
+/// `previous` (nothing is written in place). The stream lengths must already
+/// be validated against ζ, as decode_iteration does; an index past the
+/// center table throws ContractViolation.
 void decode_span(const double* previous, const EncodedIteration& enc,
                  std::size_t i0, std::size_t i1, std::size_t comp_before,
                  double* out);

@@ -85,18 +85,33 @@ class VariableReconstructor {
   /// registry; must be fed the exact sequence the compressor produced,
   /// starting with the full record. Reference-free (spatial) delta codecs
   /// may also start a stream on their own.
-  void push(const CompressedStep& step);
+  ///
+  /// `keep_previous` says whether D'_{i-1} must survive this step, because
+  /// the next record may be a linear-coded delta that reads it; it is then
+  /// copied into a buffer the reconstructor reuses. A delta that reads no
+  /// D'_{i-2} decodes into the state in place; if that decode throws, the
+  /// reconstructor resets and expects a chain start again.
+  void push(const CompressedStep& step, bool keep_previous = true);
 
   /// Current reconstructed snapshot D'_i.
   [[nodiscard]] const std::vector<double>& state() const noexcept { return state_; }
+
+  /// Moves D'_i out; the reconstructor resets and expects a chain start.
+  [[nodiscard]] std::vector<double> release_state() noexcept;
 
   [[nodiscard]] std::size_t iterations() const noexcept { return iter_; }
 
  private:
   std::vector<double> state_;
-  std::vector<double> state2_;  ///< previous state, for linear-coded deltas
+  /// D'_{i-1} for a linear-coded next delta; empty (capacity kept) when no
+  /// record may read it.
+  std::vector<double> state2_;
   std::size_t iter_ = 0;
 };
+
+/// True when decoding `step` may read D'_{i-2}: a linear-coded delta, or a
+/// record of a codec the registry does not know.
+[[nodiscard]] bool reads_previous2(const CompressedStep& step) noexcept;
 
 /// True when a record decodes without a predecessor, so a replay chain may
 /// start at it: a full record, or a record whose codec is not temporal
@@ -108,7 +123,9 @@ class VariableReconstructor {
 /// position reached. Positions are the caller's (container iterations, store
 /// entry indices). replay_to() a target on the same chain at or after the
 /// position reached continues from there; any other target restarts at its
-/// chain start. A throw resets the replay.
+/// chain start. Records are loaded one position ahead of the one being
+/// decoded, so each delta before the target decodes in place and D'_{i-1}
+/// is kept only for a linear-coded successor. A throw resets the replay.
 class ChainReplay {
  public:
   /// Appends the records at one position to `out`, one per variable, in
@@ -126,7 +143,18 @@ class ChainReplay {
     return recon_.at(v).state();
   }
 
+  /// replay_to() for a restore that ends at `target`: the target's deltas
+  /// also decode in place, keeping nothing for a successor, and the states
+  /// move out to the caller, one per variable, in order. The next
+  /// replay_to() starts over.
+  [[nodiscard]] std::vector<std::vector<double>> restore(
+      std::size_t start, std::size_t target, const RecordLoader& load);
+
  private:
+  /// replay_to(); `keep_at_target` keeps D'_{target-1} for a later call.
+  void replay(std::size_t start, std::size_t target, const RecordLoader& load,
+              bool keep_at_target);
+
   std::vector<VariableReconstructor> recon_;
   std::optional<std::size_t> start_;  ///< empty until the first replay
   std::size_t next_ = 0;              ///< next position to push

@@ -59,9 +59,7 @@ class ShardedCompressor {
  private:
   ShardedOptions opts_;
   /// Each shard's codec runs serially inside (like one MPI rank); the
-  /// cross-shard parallelism lives in push(). Routing inner stages through
-  /// the shared pool would deadlock it: shard tasks would block on inner
-  /// tasks queued behind other shard tasks.
+  /// cross-shard parallelism lives in push().
   util::ThreadPool inner_pool_{1};
   /// Guards the stream state below. Within one push() the elements of
   /// compressors_ are lent to pool workers one-per-shard (disjoint, never

@@ -80,8 +80,7 @@ ErringSource::ErringSource(std::unique_ptr<ByteSource> inner,
 }
 
 void ErringSource::read_at(std::uint64_t offset, void* out, std::size_t size) {
-  if (seen_ < after_reads_) {
-    ++seen_;
+  if (seen_.fetch_add(1, std::memory_order_relaxed) < after_reads_) {
     inner_->read_at(offset, out, size);
     return;
   }

@@ -10,6 +10,7 @@
 #include "numarck/io/framed_writer.hpp"
 #include "numarck/util/crc32.hpp"
 #include "numarck/util/expect.hpp"
+#include "numarck/util/parallel_for.hpp"
 
 namespace numarck::io {
 
@@ -310,37 +311,75 @@ std::uint64_t CheckpointReader::container_bytes() const noexcept {
 
 // ---------------------------------------------------------------- Restart --
 
+namespace {
+
+/// The LATEST record of `variable` at or before `iteration` that may start
+/// a chain: correct for rebased chains (the adaptive controller emits
+/// periodic fulls) and avoids decoding history the rebase supersedes.
+std::size_t chain_start(const CheckpointReader& reader,
+                        const std::string& variable, std::size_t iteration) {
+  for (std::size_t it = iteration + 1; it-- > 0;) {
+    const auto info = reader.info(variable, it);
+    if (info && core::starts_chain(info->type == RecordType::kFull,
+                                   info->codec_id)) {
+      return it;
+    }
+  }
+  NUMARCK_EXPECT(false,
+                 "no full checkpoint at or before the requested iteration");
+  return 0;
+}
+
+/// Records are read CRC-checked but not validate_payload'ed: decode runs
+/// the same structural checks, so each record is parsed once.
+core::ChainReplay::RecordLoader loader(const CheckpointReader& reader,
+                                       const std::string& variable) {
+  return [&reader, &variable](std::size_t it, auto& out) {
+    out.push_back(reader.read(variable, it));
+  };
+}
+
+}  // namespace
+
 std::vector<double> RestartEngine::reconstruct_variable(
     const std::string& variable, std::size_t iteration) const {
   NUMARCK_EXPECT(iteration < reader_.iteration_count(),
                  "restart iteration beyond checkpoint history");
-  // Replay from the LATEST record at or before the target that may start a
-  // chain: correct for rebased chains (the adaptive controller emits
-  // periodic fulls) and avoids decoding history the rebase supersedes.
-  std::optional<std::size_t> start;
-  for (std::size_t it = iteration + 1; !start && it-- > 0;) {
-    const auto info = reader_.info(variable, it);
-    if (info && core::starts_chain(info->type == RecordType::kFull,
-                                   info->codec_id)) {
-      start = it;
-    }
-  }
-  NUMARCK_EXPECT(start.has_value(),
-                 "no full checkpoint at or before the requested iteration");
-  // Records are read CRC-checked but not validate_payload'ed: decode runs
-  // the same structural checks, so each record is parsed once.
+  const std::size_t start = chain_start(reader_, variable, iteration);
   core::ChainReplay replay(1);
-  replay.replay_to(*start, iteration, [&](std::size_t it, auto& out) {
-    out.push_back(reader_.read(variable, it));
-  });
-  return replay.state(0);
+  return std::move(
+      replay.restore(start, iteration, loader(reader_, variable)).front());
 }
 
 std::map<std::string, std::vector<double>> RestartEngine::reconstruct(
     std::size_t iteration) const {
+  NUMARCK_EXPECT(iteration < reader_.iteration_count(),
+                 "restart iteration beyond checkpoint history");
+  const std::vector<std::string>& vars = reader_.variables();
+  std::vector<std::size_t> starts(vars.size());
+  std::vector<core::ChainReplay> replays(vars.size(), core::ChainReplay(1));
+  std::vector<std::vector<double>> states(vars.size());
+  // Chain starts decode on the caller: they are FPC fulls, whose decoder
+  // keeps a 1 MB table pair per thread that decodes one.
+  for (std::size_t v = 0; v < vars.size(); ++v) {
+    starts[v] = chain_start(reader_, vars[v], iteration);
+    replays[v].replay_to(starts[v], starts[v], loader(reader_, vars[v]));
+  }
+  // The deltas of independent variables replay across the pool.
+  util::ThreadPool& pool = util::ThreadPool::global();
+  util::parallel_chunks(
+      pool, util::ChunkPlan(0, vars.size(), pool.size(), 1),
+      [&](std::size_t, std::size_t v0, std::size_t v1) {
+        for (std::size_t v = v0; v < v1; ++v) {
+          states[v] = std::move(
+              replays[v]
+                  .restore(starts[v], iteration, loader(reader_, vars[v]))
+                  .front());
+        }
+      });
   std::map<std::string, std::vector<double>> out;
-  for (const auto& v : reader_.variables()) {
-    out[v] = reconstruct_variable(v, iteration);
+  for (std::size_t v = 0; v < vars.size(); ++v) {
+    out[vars[v]] = std::move(states[v]);
   }
   return out;
 }

@@ -9,6 +9,7 @@
 // read, I/O error); none fail silently, matching the sink-side discipline.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -120,7 +121,7 @@ class ErringSource final : public ByteSource {
  private:
   std::unique_ptr<ByteSource> inner_;
   std::size_t after_reads_;
-  std::size_t seen_ = 0;
+  std::atomic<std::size_t> seen_{0};  ///< reads may come from several threads
   int err_;
 };
 

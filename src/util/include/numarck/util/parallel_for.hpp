@@ -2,27 +2,31 @@
 //
 // ChunkPlan splits [begin, end) into contiguous chunks (MPI-style block
 // decomposition, oversubscribed beyond the worker count for load balancing).
-// parallel_for / parallel_for_chunked / parallel_chunks execute a plan and
-// block until every chunk finished. parallel_reduce additionally combines
-// per-chunk partial results with a user-supplied binary op in chunk order —
-// the shared-memory analogue of MPI_Allreduce, deterministic for a fixed
-// pool size. block_reduce does the same over a partition that does not
+// parallel_for / parallel_for_chunked / parallel_chunks execute a plan as one
+// ThreadPool::fork_join: the caller claims chunks alongside the helpers it
+// posts and returns when every chunk finished. parallel_reduce additionally
+// combines per-chunk partial results with a user-supplied binary op in chunk
+// order — the shared-memory analogue of MPI_Allreduce, deterministic for a
+// fixed pool size. block_reduce does the same over a partition that does not
 // depend on the pool at all, for sums that end up in a stored record.
 //
 // Thread-safety contract (checked by -Wthread-safety where expressible, see
 // numarck/util/thread_annotations.hpp): these helpers take no locks of their
 // own — correctness rests on chunks being disjoint index ranges, so workers
 // never write the same element. A `body` that touches shared state beyond
-// its [i0, i1) slice must bring its own annotated Mutex; ThreadPool::submit
-// is EXCLUDES(pool.mu_), so the body must also never block on the pool it
-// runs inside (the deadlock ShardedCompressor's inner_pool_ design avoids).
+// its [i0, i1) slice must bring its own annotated Mutex. A body may call
+// these helpers again on the pool it runs in (the caller of a fork-join
+// only waits on chunks a running thread has claimed), but it must never
+// block on a ThreadPool::submit future of that pool: the queued task may
+// have no free worker to run it. When chunks throw, the exception of the
+// lowest chunk index is rethrown after every chunk has finished.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <exception>
-#include <future>
+#include <optional>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -98,24 +102,18 @@ void parallel_chunks(ThreadPool& pool, const ChunkPlan& plan, Body&& body) {
     }
     return;
   }
-  std::vector<std::future<void>> futs;
-  futs.reserve(plan.chunks);
-  for (std::size_t c = 0; c < plan.chunks; ++c) {
-    const auto [i0, i1] = plan.bounds(c);
-    futs.push_back(pool.submit([c, i0, i1, &body] { body(c, i0, i1); }));
-  }
-  // Drain every future before rethrowing: unwinding while workers still
-  // reference the caller's locals (body captures them) would be UB. The
-  // first chunk's exception wins; later ones are joined and dropped.
-  std::exception_ptr err;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!err) err = std::current_exception();
-    }
-  }
-  if (err) std::rethrow_exception(err);
+  struct Call {
+    const ChunkPlan& plan;
+    std::remove_reference_t<Body>& body;
+  } call{plan, body};
+  pool.fork_join(
+      plan.chunks,
+      [](void* ctx, std::size_t c) {
+        Call& self = *static_cast<Call*>(ctx);
+        const auto [i0, i1] = self.plan.bounds(c);
+        self.body(c, i0, i1);
+      },
+      &call);
 }
 
 /// Invokes body(i0, i1) on disjoint subranges covering [begin, end).
@@ -137,40 +135,23 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end, Body&& b
   });
 }
 
-/// Chunked reduction: `partial(i0, i1) -> T` computed per chunk, combined with
-/// `combine(T, T) -> T` in chunk order (deterministic for a fixed pool size).
+/// Chunked reduction: `partial(i0, i1) -> T` computed per chunk into its own
+/// slot, the slots combined with `combine(T, T) -> T` in chunk order
+/// (deterministic for a fixed pool size).
 template <typename T, typename Partial, typename Combine>
 T parallel_reduce(ThreadPool& pool, std::size_t begin, std::size_t end, T init,
                   Partial&& partial, Combine&& combine) {
   if (end <= begin) return init;
   const ChunkPlan plan(begin, end, pool.size());
-  if (plan.chunks <= 1 || pool.size() <= 1) {
-    T acc = std::move(init);
-    for (std::size_t c = 0; c < plan.chunks; ++c) {
-      const auto [i0, i1] = plan.bounds(c);
-      acc = combine(std::move(acc), partial(i0, i1));
-    }
-    return acc;
-  }
-  std::vector<std::future<T>> futs;
-  futs.reserve(plan.chunks);
-  for (std::size_t c = 0; c < plan.chunks; ++c) {
-    const auto [i0, i1] = plan.bounds(c);
-    futs.push_back(pool.submit([i0, i1, &partial] { return partial(i0, i1); }));
-  }
-  // As in parallel_chunks: join every chunk before any rethrow so no worker
-  // outlives the locals its chunk captured.
-  std::exception_ptr err;
+  std::vector<std::optional<T>> parts(plan.chunks);
+  parallel_chunks(pool, plan,
+                  [&](std::size_t c, std::size_t i0, std::size_t i1) {
+                    parts[c].emplace(partial(i0, i1));
+                  });
   T acc = std::move(init);
-  for (auto& f : futs) {
-    try {
-      T part = f.get();
-      if (!err) acc = combine(std::move(acc), std::move(part));
-    } catch (...) {
-      if (!err) err = std::current_exception();
-    }
+  for (std::optional<T>& part : parts) {
+    acc = combine(std::move(acc), std::move(*part));
   }
-  if (err) std::rethrow_exception(err);
   return acc;
 }
 

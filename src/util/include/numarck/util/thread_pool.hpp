@@ -8,6 +8,10 @@
 // Design notes (C++ Core Guidelines CP.*):
 //  * tasks are type-erased std::function<void()>; submit() returns a
 //    std::future so callers can propagate exceptions;
+//  * fork_join() is the data-parallel entry (parallel_for.hpp builds on it):
+//    one shared job per call, helpers posted under one lock, and the caller
+//    claims chunks itself before it waits, so a chunk may fork-join on the
+//    pool it runs in;
 //  * the destructor drains the queue and joins all workers (RAII, no detach);
 //  * a process-wide default pool sized to the hardware concurrency is provided
 //    for convenience, but every parallel API also accepts an explicit pool so
@@ -66,6 +70,20 @@ class ThreadPool {
     cv_.notify_one();
     return fut;
   }
+
+  /// Chunk body of fork_join: `run(ctx, c)` processes chunk c.
+  using ChunkFn = void (*)(void* ctx, std::size_t chunk);
+
+  /// Runs run(ctx, c) once for every chunk c in [0, chunks) and returns when
+  /// all of them have finished. One shared job holds an atomic chunk cursor
+  /// and a done count; at most min(size(), chunks - 1) helpers are posted
+  /// under one lock, and the calling thread claims chunks too before it
+  /// waits on the done count. The caller therefore only ever waits on chunks
+  /// that a running thread has claimed, so a chunk may itself call
+  /// fork_join on this pool. When chunks throw, the exception of the lowest
+  /// chunk index is rethrown, after every chunk has finished. After
+  /// shutdown has begun the caller runs every chunk itself.
+  void fork_join(std::size_t chunks, ChunkFn run, void* ctx) EXCLUDES(mu_);
 
   /// Process-wide pool sized to hardware concurrency. Never destroyed before
   /// static teardown; safe to use from any library in this repo.

@@ -5,6 +5,7 @@
 // stream on the FLASH and CMIP5 fixtures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -23,6 +24,7 @@
 #include "numarck/util/crc32.hpp"
 #include "numarck/util/expect.hpp"
 #include "numarck/util/rng.hpp"
+#include "numarck/util/thread_pool.hpp"
 
 namespace nk = numarck::core;
 namespace nr = numarck::reference;
@@ -118,7 +120,7 @@ void expect_decode_matches(const std::vector<double>& prev,
 
 // ------------------------------------------------- kernel differentials --
 
-TEST(ArchKernels, ClassifyMatchesScalarOnAdversarialInput) {
+TEST(KernelReference, ClassifyMatchesScalarOnAdversarialInput) {
   std::vector<double> prev, curr;
   adversarial_snapshots(1027, prev, curr);  // odd length: tail paths
   for (double small : {0.0, 1e-7}) {
@@ -138,7 +140,7 @@ TEST(ArchKernels, ClassifyMatchesScalarOnAdversarialInput) {
   }
 }
 
-TEST(ArchKernels, ChangeRatiosMatchScalarLaneForLane) {
+TEST(KernelReference, ChangeRatiosMatchScalarLaneForLane) {
   // Eq. 1 as compute_change_ratios evaluates it: a defined lane carries the
   // plain IEEE divide, and exactly the zero-previous or non-finite lanes are
   // undefined.
@@ -159,7 +161,7 @@ TEST(ArchKernels, ChangeRatiosMatchScalarLaneForLane) {
   EXPECT_EQ(got.defined_count, defined);
 }
 
-TEST(ArchKernels, UnpackMatchesScalarAtEveryOffsetAndWidth) {
+TEST(KernelReference, UnpackMatchesScalarAtEveryOffsetAndWidth) {
   nu::Pcg32 rng(0x0111);
   std::vector<std::uint8_t> bytes(257);
   for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next() & 0xffu);
@@ -190,7 +192,7 @@ TEST(ArchKernels, UnpackMatchesScalarAtEveryOffsetAndWidth) {
   nu::unpack_indices(bytes.data(), bytes.size(), 0, 8, &one, 0);  // no-op
 }
 
-TEST(ArchKernels, CountOnesMatchesScalarOnUnalignedRanges) {
+TEST(KernelReference, CountOnesMatchesScalarOnUnalignedRanges) {
   nu::Pcg32 rng(0xC0);
   std::vector<std::uint8_t> bytes(129);
   for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next() & 0xffu);
@@ -207,7 +209,7 @@ TEST(ArchKernels, CountOnesMatchesScalarOnUnalignedRanges) {
                numarck::ContractViolation);
 }
 
-TEST(ArchKernels, DecodeSpanMatchesScalarIncludingUnalignedStart) {
+TEST(KernelReference, DecodeSpanMatchesScalarIncludingUnalignedStart) {
   // ζ mixes exact runs, compressible runs and alternating bits, so every
   // byte case (0x00 / 0xFF / mixed) and the unaligned head run.
   const std::size_t n = 203;
@@ -248,7 +250,7 @@ TEST(ArchKernels, DecodeSpanMatchesScalarIncludingUnalignedStart) {
                numarck::ContractViolation);
 }
 
-TEST(ArchKernels, DecodeSpanCarriesPreviousBitForBitInFullIndexBytes) {
+TEST(KernelReference, DecodeSpanCarriesPreviousBitForBitInFullIndexBytes) {
   // Three full ζ bytes of indices: all index 0 (a straight copy), index 0
   // mixed with binned indices, and all binned. `previous` holds NaNs with
   // payloads, signed zeros, infinities and a denormal; an index-0 lane must
@@ -281,7 +283,7 @@ TEST(ArchKernels, DecodeSpanCarriesPreviousBitForBitInFullIndexBytes) {
   }
 }
 
-TEST(ArchKernels, DecodeSpanRejectsOutOfTableIndexInFullIndexByte) {
+TEST(KernelReference, DecodeSpanRejectsOutOfTableIndexInFullIndexByte) {
   // One full ζ byte whose seventh index is past the 2-entry center table.
   const std::vector<std::uint32_t> labels = {0, 1, 2, 0, 1, 2, 3, 0};
   const auto enc = hand_record(labels, 2, {0.1, 0.2}, {});
@@ -295,7 +297,87 @@ TEST(ArchKernels, DecodeSpanRejectsOutOfTableIndexInFullIndexByte) {
                numarck::ContractViolation);
 }
 
-TEST(ArchKernels, FpcXorLzcMatchesScalar) {
+TEST(KernelReference, InPlaceDecodeMatchesOutOfPlaceAndReference) {
+  // Every ζ group kind at widths 1-16: all-zero index windows (carried
+  // without a write in place), all-exact bytes, mixed bytes, full bytes of
+  // random indices and full bytes with one non-zero index in one lane. The
+  // index stream ends in an all-zero window, and `previous` holds NaN
+  // payloads, signed zeros and denormals. Each head phase decodes three
+  // ways — reference, production out of place, production in place — and
+  // all three must agree bit for bit.
+  const double specials[] = {
+      std::bit_cast<double>(0x7ff80000deadbeefull),
+      std::bit_cast<double>(0xfff0000000000123ull),
+      -0.0, 0.0, 1e-310, -4.9e-324};
+  constexpr std::size_t kGroups = 41;
+  nu::ThreadPool pool(4);
+  for (unsigned bits = 1; bits <= 16; ++bits) {
+    SCOPED_TRACE(testing::Message() << "bits=" << bits);
+    const std::uint32_t table =
+        std::min<std::uint32_t>((1u << bits) - 1, 40);
+    std::vector<double> centers;
+    for (std::uint32_t c = 0; c < table; ++c) centers.push_back(-0.3 + 0.013 * c);
+    nu::Pcg32 rng(0xD1CE + bits);
+    std::vector<std::uint32_t> labels;
+    std::vector<double> exact;
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      const std::size_t kind = g + 1 == kGroups ? 0 : g % 5;
+      for (std::size_t k = 0; k < 8; ++k) {
+        const std::uint32_t random_index = rng.next() % (table + 1);
+        std::uint32_t label = 0;
+        switch (kind) {
+          case 0: label = 0; break;
+          case 1: label = nr::kLabelExact; break;
+          case 2: label = (k + g) % 2 ? nr::kLabelExact : random_index; break;
+          case 3: label = random_index; break;
+          default: label = k == g % 8 ? (g % 2 ? table : 1u) : 0u; break;
+        }
+        labels.push_back(label);
+      }
+    }
+    for (int k = 0; k < 5; ++k) labels.push_back(nr::kLabelExact);
+    for (const std::uint32_t label : labels) {
+      if (label == nr::kLabelExact) exact.push_back(rng.uniform(-1.0, 1.0));
+    }
+    const auto enc = hand_record(labels, bits, centers, exact);
+    const std::size_t n = labels.size();
+    std::vector<double> prev(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      prev[j] = j % 7 == 0 ? specials[(j / 7) % 6] : rng.uniform(0.5, 5.0);
+    }
+
+    for (std::size_t i0 = 0; i0 < 16; ++i0) {
+      SCOPED_TRACE(testing::Message() << "i0=" << i0);
+      expect_decode_matches(prev, enc, i0);
+      const std::size_t comp_before =
+          nr::count_ones(enc.zeta.data(), enc.zeta.size(), 0, i0);
+      std::vector<double> want(n);
+      nr::decode_span(prev.data(), enc, i0, n, comp_before, want.data());
+      std::vector<double> state = prev;
+      nk::detail::decode_span(state.data(), enc, i0, n, comp_before,
+                              state.data());
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(state[j]),
+                  std::bit_cast<std::uint64_t>(j < i0 ? prev[j] : want[j]))
+            << "point " << j;
+      }
+    }
+
+    // The whole-record entry points, in place and out of place.
+    const auto out_of_place = nk::decode_iteration(prev, enc, &pool);
+    std::vector<double> state = prev;
+    nk::decode_iteration_into(state, enc, state, &pool);
+    ASSERT_EQ(std::memcmp(state.data(), out_of_place.data(), n * sizeof(double)),
+              0);
+    std::vector<double> shifted(n + 1);
+    EXPECT_THROW(nk::decode_iteration_into(
+                     std::span<const double>(shifted.data(), n), enc,
+                     std::span<double>(shifted.data() + 1, n), &pool),
+                 numarck::ContractViolation);
+  }
+}
+
+TEST(KernelReference, FpcXorLzcMatchesScalar) {
   const std::size_t n = 101;
   nu::Pcg32 rng(0xF9C);
   auto next64 = [&rng] {

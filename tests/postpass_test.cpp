@@ -328,7 +328,7 @@ TEST(Rans, TruncatedLaneRejected) {
   }
 }
 
-TEST(Rans, DecodeMatchesAcrossIsaLevels) {
+TEST(Rans, DecodeLanesMatchReference) {
   // The interleaved decode loop against the strict round-robin reference,
   // on the tables and lanes of real streams: same symbols, and every lane
   // drained to the same state and cursor. An odd count leaves a partial
@@ -573,7 +573,7 @@ TEST(Postpass, SerializedBytesIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Postpass, SerializedBytesIdenticalAcrossIsaLevels) {
+TEST(Postpass, SerializeUnpackMatchesReference) {
   // serialize() unpacks the index stream with the word-accumulator loop
   // before entropy coding; the reference unpack must see the same symbols,
   // and the postpass round trip must restore the packed bytes.

@@ -743,6 +743,8 @@ TEST(Store, AdaptiveFailedPutRestartsTheChainWithAFull) {
   const auto moved = snap(64, 10.0);  // drift far over the 1 % budget
   EXPECT_ANY_THROW((void)ckpt.push(1, 1.0, moved));
   ASSERT_EQ(s.list().size(), 1u);
+  // Nothing newer than iteration 0 reached the store: one snapshot stale.
+  EXPECT_EQ(ckpt.staleness(), 1u);
 
   // The controller decided to write `moved`, but the store never took it:
   // pushing it again must not be judged against it (a skip would leave the

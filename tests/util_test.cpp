@@ -9,6 +9,8 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -247,6 +249,101 @@ TEST(ParallelChunks, CoversEveryIndexOnceWithChunkIds) {
                       });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
   for (auto& r : chunk_runs) EXPECT_EQ(r.load(), 1);
+}
+
+namespace {
+
+/// ThreadPool::fork_join over a callable: f(c) per chunk.
+template <typename F>
+void fork_join(nu::ThreadPool& pool, std::size_t chunks, F& f) {
+  pool.fork_join(
+      chunks, [](void* ctx, std::size_t c) { (*static_cast<F*>(ctx))(c); },
+      &f);
+}
+
+}  // namespace
+
+TEST(ForkJoin, NestedOnItsOwnPoolRunsEveryChunkOnce) {
+  // Every outer chunk fork-joins again on the pool it runs in. The caller
+  // of each call claims chunks itself, so this completes even when every
+  // worker is busy with an outer chunk (one worker: its helpers queue
+  // behind the chunk that posted them).
+  constexpr std::size_t kOuter = 12;
+  constexpr std::size_t kInner = 9;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    nu::ThreadPool pool(workers);
+    std::vector<std::atomic<int>> runs(kOuter * kInner);
+    auto outer = [&](std::size_t c) {
+      auto inner = [&](std::size_t d) { runs[c * kInner + d].fetch_add(1); };
+      fork_join(pool, kInner, inner);
+    };
+    fork_join(pool, kOuter, outer);
+    for (auto& r : runs) EXPECT_EQ(r.load(), 1);
+
+    // The same through parallel_chunks, three levels deep.
+    const std::size_t n = 3 * nu::kParallelGrainSize;
+    std::vector<std::atomic<int>> hits(n);
+    const auto each = [&](std::size_t count, auto&& f) {
+      nu::parallel_chunks(pool, nu::ChunkPlan(0, count, workers, 1),
+                          [&](std::size_t, std::size_t i0, std::size_t i1) {
+                            for (std::size_t i = i0; i < i1; ++i) f(i);
+                          });
+    };
+    each(2 * workers, [&](std::size_t) {
+      each(2, [&](std::size_t) {
+        each(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+      });
+    });
+    for (auto& h : hits) EXPECT_EQ(h.load(), static_cast<int>(4 * workers));
+  }
+}
+
+TEST(ForkJoin, LowestChunkExceptionWinsAfterEveryChunkFinished) {
+  // Later chunks finish first (shorter sleeps) and several throw; the
+  // lowest-index exception must win, and only once all chunks are done.
+  constexpr std::size_t kChunks = 16;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    nu::ThreadPool pool(workers);
+    std::vector<std::atomic<int>> runs(kChunks);
+    std::atomic<std::size_t> finished{0};
+    auto body = [&](std::size_t c) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50 * (kChunks - c)));
+      runs[c].fetch_add(1);
+      finished.fetch_add(1);
+      if (c % 5 == 3) throw std::runtime_error("chunk " + std::to_string(c));
+    };
+    try {
+      fork_join(pool, kChunks, body);
+      FAIL() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "chunk 3");
+      EXPECT_EQ(finished.load(), kChunks);
+    }
+    for (auto& r : runs) EXPECT_EQ(r.load(), 1);
+
+    // Thrown from nested calls: each inner call joins its own chunks and
+    // rethrows its lowest; the outer call then rethrows the lowest outer.
+    std::atomic<std::size_t> inner_done{0};
+    auto outer = [&](std::size_t c) {
+      auto inner = [&](std::size_t d) {
+        inner_done.fetch_add(1);
+        if (c % 2 == 1 && d >= 4) {
+          throw std::runtime_error("outer " + std::to_string(c) + " inner " +
+                                   std::to_string(d));
+        }
+      };
+      fork_join(pool, 8, inner);
+    };
+    try {
+      fork_join(pool, 6, outer);
+      FAIL() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "outer 1 inner 4");
+      EXPECT_EQ(inner_done.load(), 6u * 8u);
+    }
+  }
 }
 
 TEST(ParallelReduce, SumMatchesSerial) {
