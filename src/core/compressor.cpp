@@ -5,6 +5,7 @@
 #include "numarck/codec/codec.hpp"
 #include "numarck/lossless/fpc.hpp"
 #include "numarck/util/expect.hpp"
+#include "numarck/util/parallel_for.hpp"
 
 namespace numarck::core {
 
@@ -149,6 +150,48 @@ void ChainReplay::replay(std::size_t start, std::size_t target,
     start_.reset();
     throw;
   }
+}
+
+FanOutReplay::FanOutReplay(std::vector<std::size_t> starts)
+    : starts_(std::move(starts)), replays_(starts_.size(), ChainReplay(1)) {}
+
+void FanOutReplay::replay_to(std::size_t target, const Loader& load) {
+  advance(target, load, nullptr);
+}
+
+std::vector<std::vector<double>> FanOutReplay::restore(std::size_t target,
+                                                       const Loader& load) {
+  std::vector<std::vector<double>> out(replays_.size());
+  advance(target, load, &out);
+  return out;
+}
+
+void FanOutReplay::advance(std::size_t target, const Loader& load,
+                           std::vector<std::vector<double>>* out) {
+  const auto loader = [&load](std::size_t v) -> ChainReplay::RecordLoader {
+    return [&load, v](std::size_t position, std::vector<CompressedStep>& steps) {
+      load(v, position, steps);
+    };
+  };
+  if (!started_) {
+    for (std::size_t v = 0; v < replays_.size(); ++v) {
+      replays_[v].replay_to(starts_[v], starts_[v], loader(v));
+    }
+    started_ = true;
+  }
+  util::ThreadPool& pool = util::ThreadPool::global();
+  util::parallel_chunks(
+      pool, util::ChunkPlan(0, replays_.size(), pool.size(), 1),
+      [&](std::size_t, std::size_t v0, std::size_t v1) {
+        for (std::size_t v = v0; v < v1; ++v) {
+          if (out == nullptr) {
+            replays_[v].replay_to(starts_[v], target, loader(v));
+          } else {
+            (*out)[v] = std::move(
+                replays_[v].restore(starts_[v], target, loader(v)).front());
+          }
+        }
+      });
 }
 
 }  // namespace numarck::core

@@ -160,4 +160,39 @@ class ChainReplay {
   std::size_t next_ = 0;              ///< next position to push
 };
 
+/// The restore fan-out over independent variables, shared by every
+/// multi-variable restore (io::RestartEngine::reconstruct,
+/// store::CheckpointStore::get): one ChainReplay per variable, variable v
+/// replaying its own chain from `starts[v]`. The first call decodes every
+/// chain start on the caller (they are FPC fulls, whose decoder keeps a
+/// 1 MB table pair per thread that decodes one); after that the deltas of
+/// each variable replay on one chunk of the global pool. replay_to() may be
+/// called with ascending targets, each variable continuing where it
+/// stands, so a caller can hand the records over in windows.
+class FanOutReplay {
+ public:
+  /// Appends variable `variable`'s record at `position` to `out`. Called
+  /// concurrently for distinct variables.
+  using Loader = std::function<void(std::size_t variable, std::size_t position,
+                                     std::vector<CompressedStep>& out)>;
+
+  explicit FanOutReplay(std::vector<std::size_t> starts);
+
+  /// Brings every variable to `target`, which is at or after every start.
+  void replay_to(std::size_t target, const Loader& load);
+
+  /// replay_to() for the last target: the states move out, one per
+  /// variable, in order.
+  [[nodiscard]] std::vector<std::vector<double>> restore(std::size_t target,
+                                                         const Loader& load);
+
+ private:
+  void advance(std::size_t target, const Loader& load,
+               std::vector<std::vector<double>>* out);
+
+  std::vector<std::size_t> starts_;
+  std::vector<ChainReplay> replays_;
+  bool started_ = false;  ///< chain starts decoded
+};
+
 }  // namespace numarck::core

@@ -10,7 +10,6 @@
 #include "numarck/io/framed_writer.hpp"
 #include "numarck/util/crc32.hpp"
 #include "numarck/util/expect.hpp"
-#include "numarck/util/parallel_for.hpp"
 
 namespace numarck::io {
 
@@ -357,25 +356,13 @@ std::map<std::string, std::vector<double>> RestartEngine::reconstruct(
                  "restart iteration beyond checkpoint history");
   const std::vector<std::string>& vars = reader_.variables();
   std::vector<std::size_t> starts(vars.size());
-  std::vector<core::ChainReplay> replays(vars.size(), core::ChainReplay(1));
-  std::vector<std::vector<double>> states(vars.size());
-  // Chain starts decode on the caller: they are FPC fulls, whose decoder
-  // keeps a 1 MB table pair per thread that decodes one.
   for (std::size_t v = 0; v < vars.size(); ++v) {
     starts[v] = chain_start(reader_, vars[v], iteration);
-    replays[v].replay_to(starts[v], starts[v], loader(reader_, vars[v]));
   }
-  // The deltas of independent variables replay across the pool.
-  util::ThreadPool& pool = util::ThreadPool::global();
-  util::parallel_chunks(
-      pool, util::ChunkPlan(0, vars.size(), pool.size(), 1),
-      [&](std::size_t, std::size_t v0, std::size_t v1) {
-        for (std::size_t v = v0; v < v1; ++v) {
-          states[v] = std::move(
-              replays[v]
-                  .restore(starts[v], iteration, loader(reader_, vars[v]))
-                  .front());
-        }
+  core::FanOutReplay replay(std::move(starts));
+  std::vector<std::vector<double>> states = replay.restore(
+      iteration, [this, &vars](std::size_t v, std::size_t it, auto& out) {
+        out.push_back(reader_.read(vars[v], it));
       });
   std::map<std::string, std::vector<double>> out;
   for (std::size_t v = 0; v < vars.size(); ++v) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <utility>
 
 #include "numarck/codec/codec.hpp"
@@ -10,6 +11,7 @@
 #include "numarck/io/checkpoint_file.hpp"
 #include "numarck/util/byte_stream.hpp"
 #include "numarck/util/expect.hpp"
+#include "numarck/util/parallel_for.hpp"
 
 namespace numarck::store {
 
@@ -226,22 +228,26 @@ std::size_t CheckpointStore::entry_index(std::size_t iteration) const {
   return static_cast<std::size_t>(it - entries_.begin());
 }
 
-void CheckpointStore::replay_locked(
-    core::ChainReplay& replay, std::size_t index,
-    const std::vector<std::string>& variables) const {
+std::size_t CheckpointStore::chain_start_locked(std::size_t index) const {
   std::size_t start = index;
   while (!entries_[start].reference_free) {
     NUMARCK_EXPECT(start > 0, "store entry has a broken delta chain");
     --start;
   }
-  replay.replay_to(start, index, [&](std::size_t i, auto& out) {
+  return start;
+}
+
+void CheckpointStore::replay_locked(core::ChainReplay& replay,
+                                    std::size_t index) const {
+  replay.replay_to(chain_start_locked(index), index, [&](std::size_t i,
+                                                         auto& out) {
     mu_.assert_held();
-    // One container open per chain entry, every requested variable from it.
+    // One container open per chain entry, every variable from it.
     // CRC-checked reads only: decode is the structural check, so each record
     // is parsed once.
     const io::CheckpointReader reader(dir_ + "/" + entries_[i].file,
                                       io::TailPolicy::kStrict);
-    for (const auto& v : variables) out.push_back(reader.read(v, 0));
+    for (const auto& v : vars_) out.push_back(reader.read(v, 0));
   });
 }
 
@@ -347,7 +353,7 @@ PruneReport CheckpointStore::prune(std::size_t keep_last,
     }
     if (!e.reference_free && chain_broken) {
       doomed.push_back(e.file);
-      replay_locked(replay, i, vars_);
+      replay_locked(replay, i);
       e = write_standalone_locked(i, replay);
       ++report.rewritten;
     }
@@ -370,7 +376,7 @@ PruneReport CheckpointStore::prune(std::size_t keep_last,
   // names a missing file.
   publish_manifest(kept);
   entries_ = std::move(kept);
-  for (const auto& file : doomed) unlink_unreferenced(dir_ + "/" + file, "prune");
+  retire_locked(doomed, "prune");
   return report;
 }
 
@@ -388,15 +394,15 @@ bool CheckpointStore::compact_once() {
     if (!eligible) continue;
 
     core::ChainReplay replay(vars_.size());
-    replay_locked(replay, i, vars_);
+    replay_locked(replay, i);
     EntryInfo merged = write_standalone_locked(i, replay);
     if (merged.tier == Tier::kRolling) merged.tier = Tier::kEpoch;
-    const std::string old_path = dir_ + "/" + e.file;
+    const std::vector<std::string> doomed = {e.file};
     std::vector<EntryInfo> candidate = entries_;
     candidate[i] = std::move(merged);
     publish_manifest(candidate);
     entries_ = std::move(candidate);
-    unlink_unreferenced(old_path, "compactor");
+    retire_locked(doomed, "compactor");
     return true;
   }
   return false;
@@ -419,22 +425,90 @@ std::vector<double> CheckpointStore::get_variable(const std::string& variable,
                                                   std::size_t iteration) const {
   NUMARCK_EXPECT(std::find(vars_.begin(), vars_.end(), variable) != vars_.end(),
                  "unknown store variable: " + variable);
-  util::MutexLock lk(mu_);
-  core::ChainReplay replay(1);
-  replay_locked(replay, entry_index(iteration), {variable});
-  return replay.state(0);
+  return std::move(restore(iteration, {variable}).front());
 }
 
 std::map<std::string, std::vector<double>> CheckpointStore::get(
     std::size_t iteration) const {
-  util::MutexLock lk(mu_);
-  core::ChainReplay replay(vars_.size());
-  replay_locked(replay, entry_index(iteration), vars_);
+  std::vector<std::vector<double>> states = restore(iteration, vars_);
   std::map<std::string, std::vector<double>> out;
   for (std::size_t v = 0; v < vars_.size(); ++v) {
-    out[vars_[v]] = replay.state(v);
+    out[vars_[v]] = std::move(states[v]);
   }
   return out;
+}
+
+std::vector<std::string> CheckpointStore::pin_chain(
+    std::size_t iteration) const {
+  util::MutexLock lk(mu_);
+  const std::size_t index = entry_index(iteration);
+  const std::size_t start = chain_start_locked(index);
+  std::vector<std::string> files;
+  files.reserve(index - start + 1);
+  for (std::size_t i = start; i <= index; ++i) {
+    files.push_back(dir_ + "/" + entries_[i].file);
+  }
+  ++pins_;
+  return files;
+}
+
+void CheckpointStore::unpin() const noexcept {
+  std::vector<std::string> doomed;
+  {
+    util::MutexLock lk(mu_);
+    if (--pins_ == 0) doomed.swap(unlink_queue_);
+  }
+  // The manifest no longer names these files, so no later restore pins
+  // them: they unlink outside the lock.
+  for (const auto& path : doomed) unlink_unreferenced(path, "restore");
+}
+
+void CheckpointStore::retire_locked(const std::vector<std::string>& files,
+                                    const char* who) {
+  for (const auto& file : files) {
+    if (pins_ > 0) {
+      unlink_queue_.push_back(dir_ + "/" + file);
+    } else {
+      unlink_unreferenced(dir_ + "/" + file, who);
+    }
+  }
+}
+
+std::vector<std::vector<double>> CheckpointStore::restore(
+    std::size_t iteration, const std::vector<std::string>& variables) const {
+  const std::vector<std::string> files = pin_chain(iteration);
+  struct Unpin {
+    const CheckpointStore& store;
+    ~Unpin() { store.unpin(); }
+  } const unpin{*this};
+
+  // Position p of the replay is files[p]; every variable starts at 0, the
+  // chain's reference-free entry.
+  core::FanOutReplay replay(std::vector<std::size_t>(variables.size(), 0));
+  std::vector<std::unique_ptr<io::CheckpointReader>> readers;
+  util::ThreadPool& pool = util::ThreadPool::global();
+  const std::size_t target = files.size() - 1;
+  for (std::size_t w0 = 0;; w0 += kScanWindow) {
+    const std::size_t w1 = std::min(files.size(), w0 + kScanWindow);
+    // The previous window's descriptors close before this one's open.
+    readers.clear();
+    readers.resize(w1 - w0);
+    util::parallel_chunks(
+        pool, util::ChunkPlan(w0, w1, pool.size(), 1),
+        [&](std::size_t, std::size_t i0, std::size_t i1) {
+          for (std::size_t i = i0; i < i1; ++i) {
+            readers[i - w0] = std::make_unique<io::CheckpointReader>(
+                files[i], io::TailPolicy::kStrict);
+          }
+        });
+    // CRC-checked reads only: decode is the structural check, so each
+    // record is parsed once.
+    const auto load = [&](std::size_t v, std::size_t i, auto& out) {
+      out.push_back(readers[i - w0]->read(variables[v], 0));
+    };
+    if (w1 == files.size()) return replay.restore(target, load);
+    replay.replay_to(w1 - 1, load);
+  }
 }
 
 // --------------------------------------------------------------- recovery --

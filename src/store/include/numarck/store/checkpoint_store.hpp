@@ -20,9 +20,10 @@
 // containers whose manifest publish never happened, compactor temporaries —
 // is swept or quarantined when the store opens, so recovery is the default,
 // not a repair verb. Pruning deletes files only *after* the shrunken
-// manifest is durable, and first rewrites any retained entry whose delta
-// chain would cross a deleted one into a standalone reference-free container
-// (the restart-from-newest property makes that a bit-exact local rewrite):
+// manifest is durable and no in-flight restore reads them, and first
+// rewrites any retained entry whose delta chain would cross a deleted one
+// into a standalone reference-free container (the restart-from-newest
+// property makes that a bit-exact local rewrite):
 // the manifest can never name a missing file, and every retained checkpoint
 // restarts standalone. Byte layout in docs/FORMAT.md §8; crash matrix in
 // docs/RESILIENCE.md "Tiered store".
@@ -131,6 +132,9 @@ class CheckpointStore {
  public:
   static constexpr const char* kManifestName = "store.manifest";
   static constexpr const char* kQuarantineDir = "quarantine";
+  /// Chain containers a restore holds open at once: descriptors and scan
+  /// buffers stay bounded however deep an unpruned chain grows.
+  static constexpr std::size_t kScanWindow = 32;
 
   /// Creates a new store: makes `dir` (and parents) and publishes an empty
   /// manifest for `variables`. Throws if a manifest already exists there.
@@ -163,9 +167,16 @@ class CheckpointStore {
 
   /// Reconstructs every variable at a retained iteration, replaying the
   /// entry's delta chain from its nearest reference-free predecessor.
+  /// The store lock is held only to snapshot the chain's file names and
+  /// pin them; the containers are then opened and scanned kScanWindow at a
+  /// time across the global pool and the variables replayed there in
+  /// parallel (core::FanOutReplay), so put, prune and compaction never wait
+  /// on a restore. A file a concurrent prune or compaction dooms stays on
+  /// disk until the last in-flight restore unpins, whatever it throws.
   [[nodiscard]] std::map<std::string, std::vector<double>> get(
       std::size_t iteration) const EXCLUDES(mu_);
 
+  /// get() for one variable: the same snapshot, pin and windowed scan.
   [[nodiscard]] std::vector<double> get_variable(const std::string& variable,
                                                  std::size_t iteration) const
       EXCLUDES(mu_);
@@ -228,11 +239,28 @@ class CheckpointStore {
                        const std::vector<core::CompressedStep>& steps) const;
   [[nodiscard]] std::size_t entry_index(std::size_t iteration) const
       REQUIRES(mu_);
-  /// Replays `variables` to entry `index` from its nearest reference-free
-  /// predecessor, continuing where `replay` stands when it is on that chain.
-  void replay_locked(core::ChainReplay& replay, std::size_t index,
-                     const std::vector<std::string>& variables) const
+  /// Index of the nearest reference-free entry at or before `index`.
+  [[nodiscard]] std::size_t chain_start_locked(std::size_t index) const
       REQUIRES(mu_);
+  /// Replays every store variable to entry `index` from its chain start,
+  /// continuing where `replay` stands when it is on that chain.
+  void replay_locked(core::ChainReplay& replay, std::size_t index) const
+      REQUIRES(mu_);
+  /// Snapshots the chain of `iteration`, its reference-free start first,
+  /// and pins it: until unpin(), prune and compaction queue the files they
+  /// doom instead of unlinking them.
+  [[nodiscard]] std::vector<std::string> pin_chain(std::size_t iteration) const
+      EXCLUDES(mu_);
+  /// Drops one pin; the last one out unlinks the queued files.
+  void unpin() const noexcept EXCLUDES(mu_);
+  /// Unlinks files the published manifest no longer names, or queues them
+  /// while a restore holds a pin.
+  void retire_locked(const std::vector<std::string>& files, const char* who)
+      REQUIRES(mu_);
+  /// Restores `variables` (store variables, in order) at `iteration`.
+  [[nodiscard]] std::vector<std::vector<double>> restore(
+      std::size_t iteration, const std::vector<std::string>& variables) const
+      EXCLUDES(mu_);
   /// Writes entry `index`, replayed over every store variable in `replayed`,
   /// as a standalone reference-free container; returns the updated entry.
   /// entries_ is not modified.
@@ -248,6 +276,10 @@ class CheckpointStore {
 
   mutable util::Mutex mu_;
   std::vector<EntryInfo> entries_ GUARDED_BY(mu_);
+  /// Restores in flight; while non-zero, doomed files go to unlink_queue_.
+  mutable std::size_t pins_ GUARDED_BY(mu_) = 0;
+  /// Unreferenced files waiting for the last pin to drop.
+  mutable std::vector<std::string> unlink_queue_ GUARDED_BY(mu_);
 
   mutable util::Mutex cmu_;
   std::condition_variable cv_;

@@ -6,19 +6,25 @@
 // any crash, and the manifest never names a file that cannot restore.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -129,6 +135,18 @@ void truncate_tail(const std::string& path, std::uint64_t drop) {
   const auto size = fs::file_size(path);
   ASSERT_GT(size, drop);
   fs::resize_file(path, size - drop);
+}
+
+/// Runs `fn`, which must throw ContractViolation naming `reason`.
+template <typename Fn>
+void expect_rejected(Fn&& fn, const char* reason) {
+  try {
+    fn();
+    ADD_FAILURE() << "forged record accepted";
+  } catch (const numarck::ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
@@ -473,6 +491,261 @@ TEST(Store, PruneAndCompactRewritesMatchAnIndependentReplay) {
     }
   }
   expect_manifest_closed(t.dir);
+}
+
+// ----------------------------------------------------- concurrent restores --
+
+namespace {
+
+/// A pre-encoded multi-variable stream: the steps of every iteration and the
+/// decoder ground truth (an independent VariableReconstructor replay).
+struct EncodedStream {
+  std::vector<std::map<std::string, nk::CompressedStep>> steps;
+  std::vector<std::map<std::string, std::vector<double>>> expected;
+};
+
+EncodedStream encode_stream(const std::vector<std::string>& vars,
+                            std::size_t count) {
+  EncodedStream out;
+  std::vector<nk::VariableCompressor> comps(
+      vars.size(), nk::VariableCompressor(chain_options()));
+  std::vector<nk::VariableReconstructor> oracle(vars.size());
+  for (std::size_t i = 0; i < count; ++i) {
+    auto& steps = out.steps.emplace_back();
+    auto& expected = out.expected.emplace_back();
+    for (std::size_t v = 0; v < vars.size(); ++v) {
+      const nk::CompressedStep step = comps[v].push(
+          snap(64, static_cast<double>(i) + 0.37 * static_cast<double>(v)));
+      oracle[v].push(step);
+      expected[vars[v]] = oracle[v].state();
+      steps.emplace(vars[v], step);
+    }
+  }
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(const std::map<std::string, std::vector<double>>& a,
+               const std::map<std::string, std::vector<double>>& b) {
+  if (a.size() != b.size()) return false;
+  for (const auto& [name, values] : a) {
+    const auto it = b.find(name);
+    if (it == b.end() || !same_bits(values, it->second)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(Store, GetsRacePutsPrunesAndTheCompactor) {
+  // The writer puts, prunes to the last two entries plus every fourth
+  // iteration, and runs the background compactor, so the chains two readers
+  // restore are rewritten and their files doomed mid-get. Every restore
+  // must match the decoder bit for bit, and once the threads join every
+  // deferred unlink must have run: no orphan is left.
+  StoreDir t("race");
+  const std::vector<std::string> vars = {"dens", "pres", "temp"};
+  constexpr std::size_t kIterations = 62;
+  constexpr std::size_t kEvery = 4;
+  const EncodedStream stream = encode_stream(vars, kIterations);
+  ns::StoreOptions opts;
+  opts.epoch_every = kEvery;
+  opts.compact_interval = std::chrono::milliseconds(1);
+  ns::CheckpointStore s(t.dir, vars, opts);
+  s.start_compactor();
+
+  std::atomic<std::size_t> acked{0};  // iterations below it are acknowledged
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> gets{0};
+  std::atomic<std::size_t> mismatches{0};
+  std::mutex error_mu;
+  std::vector<std::string> errors;
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      std::uint64_t x = 0x9E3779B97F4A7C15ull * (r + 1);
+      for (std::size_t mine = 0; !done.load() || mine < 4;) {
+        const std::size_t n = acked.load();
+        if (n == 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        // Every kEvery-th iteration is retained for good; half the gets
+        // take the newest of them, whose chain the next prune rewrites.
+        const std::size_t epochs = (n - 1) / kEvery + 1;
+        const std::size_t pick = (x >> 33) % (2 * epochs);
+        const std::size_t it = kEvery * (pick < epochs ? pick : epochs - 1);
+        try {
+          bool ok = false;
+          if ((x >> 20) & 1) {
+            ok = same_bits(s.get(it), stream.expected[it]);
+          } else {
+            const std::string& var = vars[(x >> 40) % vars.size()];
+            ok = same_bits(s.get_variable(var, it),
+                           stream.expected[it].at(var));
+          }
+          if (!ok) ++mismatches;
+        } catch (const std::exception& e) {
+          const std::lock_guard lk(error_mu);
+          errors.push_back("iteration " + std::to_string(it) + ": " +
+                           e.what());
+        }
+        ++gets;
+        ++mine;
+      }
+    });
+  }
+  for (std::size_t i = 0; i < kIterations; ++i) {
+    s.put(i, static_cast<double>(i), stream.steps[i]);
+    acked = i + 1;
+    if (i % 8 == 7) (void)s.prune(2, kEvery);
+  }
+  // The last puts left epoch deltas behind the newest entry: the readers
+  // keep racing until the compactor has merged at least one.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (s.compactor_status().compactions == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  done = true;
+  for (auto& th : readers) th.join();
+  s.stop_compactor();
+
+  EXPECT_TRUE(errors.empty()) << errors.front();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GE(gets.load(), 8u);
+  const auto status = s.compactor_status();
+  EXPECT_TRUE(status.last_error.empty()) << status.last_error;
+  EXPECT_GT(status.compactions, 0u);
+  expect_manifest_closed(t.dir);
+  const auto insp = ns::inspect_store(t.dir);
+  EXPECT_TRUE(insp.orphans.empty())
+      << insp.orphans.size() << " orphans, first " << insp.orphans.front();
+  EXPECT_TRUE(insp.stale_tmps.empty());
+  for (const auto& e : s.list()) {
+    EXPECT_TRUE(same_bits(s.get(e.iteration), stream.expected[e.iteration]))
+        << "iteration " << e.iteration;
+  }
+}
+
+TEST(Store, GetOnAChainDeeperThanTheScanWindow) {
+  // One delta chain three and a half scan windows deep, the target ending
+  // mid-window: every variable continues its replay across the windows,
+  // and a restore holds at most one window of containers open, so it also
+  // succeeds under a descriptor limit below the chain depth.
+  StoreDir t("deep");
+  const std::vector<std::string> vars = {"dens", "pres"};
+  constexpr std::size_t kWindow = ns::CheckpointStore::kScanWindow;
+  constexpr std::size_t kDepth = 3 * kWindow + kWindow / 2;
+  const EncodedStream stream = encode_stream(vars, kDepth);
+  ns::StoreOptions opts;
+  opts.durability = nio::Durability::kNone;
+  ns::CheckpointStore s(t.dir, vars, opts);
+  for (std::size_t i = 0; i < kDepth; ++i) {
+    s.put(i, static_cast<double>(i), stream.steps[i]);
+  }
+  ASSERT_FALSE(s.list().back().reference_free);
+  const std::size_t target = kDepth - 1;
+  for (const std::size_t it : {kWindow - 1, kWindow, 2 * kWindow + 5, target}) {
+    EXPECT_TRUE(same_bits(s.get(it), stream.expected[it])) << "iteration " << it;
+    for (const auto& var : vars) {
+      EXPECT_TRUE(same_bits(s.get_variable(var, it), stream.expected[it].at(var)))
+          << var << " at iteration " << it;
+    }
+  }
+
+  // The child re-executes the test binary: a forked copy of this process
+  // would inherit the pool's locks but not its threads.
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+#endif
+  EXPECT_EXIT(
+      {
+        // Room for one window beside the descriptors already open; the
+        // limit caps descriptor numbers, so counting the open ones bounds
+        // the free slots below it from below.
+        std::size_t open_fds = 0;
+        for ([[maybe_unused]] const auto& fd :
+             fs::directory_iterator("/proc/self/fd")) {
+          ++open_fds;
+        }
+        rlimit lim{};
+        bool ok = ::getrlimit(RLIMIT_NOFILE, &lim) == 0;
+        lim.rlim_cur = open_fds + kWindow + 8;
+        ok = ok && lim.rlim_cur < kDepth && ::setrlimit(RLIMIT_NOFILE, &lim) == 0;
+        try {
+          ok = ok && same_bits(s.get(target), stream.expected[target]) &&
+               same_bits(s.get_variable(vars[1], target),
+                         stream.expected[target].at(vars[1]));
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "restore failed: %s\n", e.what());
+          ok = false;
+        }
+        std::_Exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(Store, FailedGetReleasesItsPin) {
+  // A payload byte flipped on disk after the put: the get throws naming
+  // the CRC, the other iterations still restore, and the pin the get held
+  // is gone, so the next prune unlinks its doomed files at once.
+  StoreDir t("corrupt");
+  const std::vector<std::string> vars = {"dens", "pres"};
+  EncodedStream stream = encode_stream(vars, 7);
+  // A rebase at 5: pruning to the last two entries drops the whole first
+  // chain, damaged entry included, without replaying it.
+  for (const auto& var : vars) {
+    stream.steps[5][var] =
+        nk::CompressedStep::full_from(stream.expected[5].at(var));
+  }
+  ns::CheckpointStore s(t.dir, vars);
+  for (std::size_t i = 0; i < stream.steps.size(); ++i) {
+    s.put(i, static_cast<double>(i), stream.steps[i]);
+  }
+  const auto entries = s.list();
+  const std::string damaged = t.dir + "/" + entries[2].file;
+  std::uint64_t offset = 0;
+  {
+    const nio::CheckpointReader reader(damaged);
+    const auto info = reader.info(vars[0], 0);
+    ASSERT_TRUE(info.has_value());
+    ASSERT_GT(info->payload_size, 0u);
+    offset = info->payload_offset + info->payload_size / 2;
+  }
+  {
+    std::fstream f(damaged, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(offset));
+    const char byte = static_cast<char>(f.get() ^ 0x5A);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.put(byte);
+  }
+
+  for (const std::size_t it : {2u, 3u, 4u}) {
+    SCOPED_TRACE(it);
+    expect_rejected([&] { (void)s.get(it); }, "CRC");
+    expect_rejected([&] { (void)s.get_variable(vars[0], it); }, "CRC");
+  }
+  for (const std::size_t it : {0u, 1u, 5u, 6u}) {
+    EXPECT_TRUE(same_bits(s.get(it), stream.expected[it])) << "iteration " << it;
+  }
+
+  const auto report = s.prune(2, 0);
+  EXPECT_EQ(report.dropped, 5u);
+  EXPECT_EQ(report.rewritten, 0u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_FALSE(fs::exists(t.dir + "/" + entries[i].file)) << entries[i].file;
+  }
+  EXPECT_TRUE(ns::inspect_store(t.dir).orphans.empty());
+  EXPECT_TRUE(same_bits(s.get(6), stream.expected[6]));
 }
 
 TEST(Store, RejectsLinearPredictedDeltas) {
@@ -923,18 +1196,6 @@ constexpr Forgery kForgeries[] = {
     {"bspline_point_count_2e40", forge_bspline_point_count,
      "bspline: point count out of range"},
 };
-
-/// Runs `fn`, which must throw ContractViolation naming `reason`.
-template <typename Fn>
-void expect_rejected(Fn&& fn, const char* reason) {
-  try {
-    fn();
-    ADD_FAILURE() << "forged record accepted";
-  } catch (const numarck::ContractViolation& e) {
-    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
-        << e.what();
-  }
-}
 
 nk::CompressedStep valid_full() {
   return nk::CompressedStep::full_from(skewed_pair().first);
