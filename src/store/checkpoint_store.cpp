@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "numarck/codec/codec.hpp"
@@ -184,8 +185,8 @@ CheckpointStore::CheckpointStore(const std::string& dir,
   const std::string manifest = dir_ + "/" + kManifestName;
   NUMARCK_EXPECT(!fs::exists(manifest),
                  "store already exists (open it instead): " + dir_);
-  util::MutexLock lk(mu_);
-  publish_manifest(entries_);
+  util::MutexLock wlk(wmu_);
+  publish_manifest({});
 }
 
 CheckpointStore::CheckpointStore(const std::string& dir, StoreOptions opts)
@@ -199,6 +200,36 @@ CheckpointStore::~CheckpointStore() { stop_compactor(); }
 
 // ---------------------------------------------------------------- helpers --
 
+namespace {
+
+std::size_t entry_index(std::span<const EntryInfo> entries,
+                        std::size_t iteration) {
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), iteration,
+      [](const EntryInfo& e, std::size_t i) { return e.iteration < i; });
+  NUMARCK_EXPECT(it != entries.end() && it->iteration == iteration,
+                 "iteration not retained in store: " +
+                     std::to_string(iteration));
+  return static_cast<std::size_t>(it - entries.begin());
+}
+
+/// Index of the nearest reference-free entry at or before `index`.
+std::size_t chain_start(std::span<const EntryInfo> entries, std::size_t index) {
+  std::size_t start = index;
+  while (!entries[start].reference_free) {
+    NUMARCK_EXPECT(start > 0, "store entry has a broken delta chain");
+    --start;
+  }
+  return start;
+}
+
+}  // namespace
+
+std::vector<EntryInfo> CheckpointStore::snapshot() const {
+  util::MutexLock lk(mu_);
+  return entries_;
+}
+
 void CheckpointStore::publish_manifest(const std::vector<EntryInfo>& entries) {
   io::publish_envelope(dir_ + "/" + kManifestName, kStoreMagic,
                        serialize_store_body(vars_, entries), opts_.sink_factory);
@@ -206,64 +237,62 @@ void CheckpointStore::publish_manifest(const std::vector<EntryInfo>& entries) {
 
 void CheckpointStore::write_container(
     const std::string& file, double sim_time,
-    const std::vector<core::CompressedStep>& steps) const {
+    std::span<const core::CompressedStep* const> steps) const {
   io::publish_via_tmp(
       dir_ + "/" + file, opts_.sink_factory,
       [&](std::unique_ptr<io::ByteSink> sink) {
         io::CheckpointWriter writer(std::move(sink), vars_, opts_.durability);
         for (std::size_t v = 0; v < vars_.size(); ++v) {
-          writer.append(vars_[v], 0, sim_time, steps.at(v));
+          writer.append(vars_[v], 0, sim_time, *steps[v]);
         }
         writer.close();
       });
 }
 
-std::size_t CheckpointStore::entry_index(std::size_t iteration) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), iteration,
-      [](const EntryInfo& e, std::size_t i) { return e.iteration < i; });
-  NUMARCK_EXPECT(it != entries_.end() && it->iteration == iteration,
-                 "iteration not retained in store: " +
-                     std::to_string(iteration));
-  return static_cast<std::size_t>(it - entries_.begin());
-}
-
-std::size_t CheckpointStore::chain_start_locked(std::size_t index) const {
-  std::size_t start = index;
-  while (!entries_[start].reference_free) {
-    NUMARCK_EXPECT(start > 0, "store entry has a broken delta chain");
-    --start;
-  }
-  return start;
-}
-
-void CheckpointStore::replay_locked(core::ChainReplay& replay,
-                                    std::size_t index) const {
-  replay.replay_to(chain_start_locked(index), index, [&](std::size_t i,
-                                                         auto& out) {
-    mu_.assert_held();
+void CheckpointStore::replay_chain(core::ChainReplay& replay,
+                                   std::span<const EntryInfo> entries,
+                                   std::size_t index) const {
+  replay.replay_to(chain_start(entries, index), index, [&](std::size_t i,
+                                                           auto& out) {
     // One container open per chain entry, every variable from it.
     // CRC-checked reads only: decode is the structural check, so each record
     // is parsed once.
-    const io::CheckpointReader reader(dir_ + "/" + entries_[i].file,
+    const io::CheckpointReader reader(dir_ + "/" + entries[i].file,
                                       io::TailPolicy::kStrict);
     for (const auto& v : vars_) out.push_back(reader.read(v, 0));
   });
 }
 
-EntryInfo CheckpointStore::write_standalone_locked(
-    std::size_t index, const core::ChainReplay& replayed) const {
+EntryInfo CheckpointStore::write_standalone(
+    const EntryInfo& entry, const core::ChainReplay& replayed) const {
   std::vector<core::CompressedStep> steps;
+  std::vector<const core::CompressedStep*> ordered;
   for (std::size_t v = 0; v < vars_.size(); ++v) {
     // full_from is lossless over the replayed state, so the rewritten entry
     // restores bit-exactly what the delta chain restored.
     steps.push_back(core::CompressedStep::full_from(replayed.state(v)));
   }
-  EntryInfo out = entries_[index];
+  for (const auto& step : steps) ordered.push_back(&step);
+  EntryInfo out = entry;
   out.file = standalone_name(out.iteration);
   out.reference_free = true;
-  write_container(out.file, out.sim_time, steps);
+  write_container(out.file, out.sim_time, ordered);
   return out;
+}
+
+void CheckpointStore::install(std::vector<EntryInfo> entries,
+                              const std::vector<std::string>& doomed,
+                              const char* who) {
+  std::vector<std::string> unlink_now;
+  {
+    util::MutexLock lk(mu_);
+    entries_ = std::move(entries);
+    for (const auto& file : doomed) {
+      (pins_ > 0 ? unlink_queue_ : unlink_now).push_back(dir_ + "/" + file);
+    }
+  }
+  // entries_ no longer names these files, so no later restore pins them.
+  for (const auto& path : unlink_now) unlink_unreferenced(path, who);
 }
 
 // -------------------------------------------------------------- mutations --
@@ -273,7 +302,7 @@ void CheckpointStore::put(
     const std::map<std::string, core::CompressedStep>& steps) {
   NUMARCK_EXPECT(steps.size() == vars_.size(),
                  "put needs a step for every store variable");
-  std::vector<core::CompressedStep> ordered;
+  std::vector<const core::CompressedStep*> ordered;
   bool reference_free = true;
   for (const auto& v : vars_) {
     const auto it = steps.find(v);
@@ -284,12 +313,13 @@ void CheckpointStore::put(
                    "state it decodes against (encode with Predictor::kPrevious)");
     reference_free = reference_free &&
                      core::starts_chain(it->second.is_full, it->second.codec_id);
-    ordered.push_back(it->second);
+    ordered.push_back(&it->second);
   }
-  util::MutexLock lk(mu_);
-  NUMARCK_EXPECT(entries_.empty() || iteration > entries_.back().iteration,
+  util::MutexLock wlk(wmu_);
+  std::vector<EntryInfo> entries = snapshot();
+  NUMARCK_EXPECT(entries.empty() || iteration > entries.back().iteration,
                  "store iterations must be strictly ascending");
-  NUMARCK_EXPECT(reference_free || !entries_.empty(),
+  NUMARCK_EXPECT(reference_free || !entries.empty(),
                  "a temporal delta cannot start a store; write a "
                  "reference-free entry first");
 
@@ -303,35 +333,35 @@ void CheckpointStore::put(
   // is acknowledged exactly when the manifest naming it is published. A
   // crash in between leaves an orphan container that open() quarantines.
   write_container(entry.file, sim_time, ordered);
-  std::vector<EntryInfo> candidate = entries_;
-  if (!candidate.empty() && candidate.back().tier == Tier::kLatest) {
-    candidate.back().tier = Tier::kRolling;
+  if (!entries.empty() && entries.back().tier == Tier::kLatest) {
+    entries.back().tier = Tier::kRolling;
   }
-  candidate.push_back(std::move(entry));
-  publish_manifest(candidate);
-  entries_ = std::move(candidate);
+  entries.push_back(std::move(entry));
+  publish_manifest(entries);
+  install(std::move(entries), {}, "put");
 }
 
 void CheckpointStore::promote(std::size_t iteration, Tier tier) {
   NUMARCK_EXPECT(tier != Tier::kLatest,
                  "kLatest is assigned automatically; promote to "
                  "kBest/kEpoch or release to kRolling");
-  util::MutexLock lk(mu_);
-  const std::size_t idx = entry_index(iteration);
-  if (entries_[idx].tier == tier) return;
-  std::vector<EntryInfo> candidate = entries_;
-  candidate[idx].tier = tier;
-  publish_manifest(candidate);
-  entries_ = std::move(candidate);
+  util::MutexLock wlk(wmu_);
+  std::vector<EntryInfo> entries = snapshot();
+  const std::size_t idx = entry_index(entries, iteration);
+  if (entries[idx].tier == tier) return;
+  entries[idx].tier = tier;
+  publish_manifest(entries);
+  install(std::move(entries), {}, "promote");
 }
 
 PruneReport CheckpointStore::prune(std::size_t keep_last,
                                    std::size_t keep_every) {
   NUMARCK_EXPECT(keep_last >= 1, "prune keep_last must be >= 1");
-  util::MutexLock lk(mu_);
+  util::MutexLock wlk(wmu_);
+  const std::vector<EntryInfo> entries = snapshot();
   PruneReport report;
-  if (entries_.empty()) return report;
-  const std::size_t n = entries_.size();
+  if (entries.empty()) return report;
+  const std::size_t n = entries.size();
 
   // Rewrite every retained entry whose delta chain crosses a dropped one
   // BEFORE anything is deleted, while the chain is still replayable. The
@@ -342,7 +372,7 @@ PruneReport CheckpointStore::prune(std::size_t keep_last,
   std::vector<std::string> doomed;  // files to unlink after the publish
   bool chain_broken = false;  // the current chain crosses a dropped entry
   for (std::size_t i = 0; i < n; ++i) {
-    EntryInfo e = entries_[i];
+    EntryInfo e = entries[i];
     const bool epoch = keep_every > 0 && e.iteration % keep_every == 0;
     if (e.reference_free) chain_broken = false;
     if (i + keep_last < n && e.tier != Tier::kBest && !epoch) {
@@ -353,8 +383,8 @@ PruneReport CheckpointStore::prune(std::size_t keep_last,
     }
     if (!e.reference_free && chain_broken) {
       doomed.push_back(e.file);
-      replay_locked(replay, i);
-      e = write_standalone_locked(i, replay);
+      replay_chain(replay, entries, i);
+      e = write_standalone(e, replay);
       ++report.rewritten;
     }
     // Retention tiers are recomputed by every sweep; only kBest is sticky.
@@ -375,18 +405,17 @@ PruneReport CheckpointStore::prune(std::size_t keep_last,
   // leaves orphans (quarantined at next open), never a manifest entry that
   // names a missing file.
   publish_manifest(kept);
-  entries_ = std::move(kept);
-  retire_locked(doomed, "prune");
+  install(std::move(kept), doomed, "prune");
   return report;
 }
 
 bool CheckpointStore::compact_once() {
-  util::MutexLock lk(mu_);
-  if (entries_.size() < 2) return false;
+  util::MutexLock wlk(wmu_);
+  std::vector<EntryInfo> entries = snapshot();
   // Oldest eligible delta-chain entry; the newest entry is the active chain
   // tail the next put appends to, so it is left alone.
-  for (std::size_t i = 0; i + 1 < entries_.size(); ++i) {
-    const EntryInfo& e = entries_[i];
+  for (std::size_t i = 0; i + 1 < entries.size(); ++i) {
+    const EntryInfo& e = entries[i];
     if (e.reference_free) continue;
     const bool eligible =
         e.tier == Tier::kEpoch || e.tier == Tier::kBest ||
@@ -394,15 +423,13 @@ bool CheckpointStore::compact_once() {
     if (!eligible) continue;
 
     core::ChainReplay replay(vars_.size());
-    replay_locked(replay, i);
-    EntryInfo merged = write_standalone_locked(i, replay);
+    replay_chain(replay, entries, i);
+    EntryInfo merged = write_standalone(e, replay);
     if (merged.tier == Tier::kRolling) merged.tier = Tier::kEpoch;
     const std::vector<std::string> doomed = {e.file};
-    std::vector<EntryInfo> candidate = entries_;
-    candidate[i] = std::move(merged);
-    publish_manifest(candidate);
-    entries_ = std::move(candidate);
-    retire_locked(doomed, "compactor");
+    entries[i] = std::move(merged);
+    publish_manifest(entries);
+    install(std::move(entries), doomed, "compactor");
     return true;
   }
   return false;
@@ -441,8 +468,8 @@ std::map<std::string, std::vector<double>> CheckpointStore::get(
 std::vector<std::string> CheckpointStore::pin_chain(
     std::size_t iteration) const {
   util::MutexLock lk(mu_);
-  const std::size_t index = entry_index(iteration);
-  const std::size_t start = chain_start_locked(index);
+  const std::size_t index = entry_index(entries_, iteration);
+  const std::size_t start = chain_start(entries_, index);
   std::vector<std::string> files;
   files.reserve(index - start + 1);
   for (std::size_t i = start; i <= index; ++i) {
@@ -461,17 +488,6 @@ void CheckpointStore::unpin() const noexcept {
   // The manifest no longer names these files, so no later restore pins
   // them: they unlink outside the lock.
   for (const auto& path : doomed) unlink_unreferenced(path, "restore");
-}
-
-void CheckpointStore::retire_locked(const std::vector<std::string>& files,
-                                    const char* who) {
-  for (const auto& file : files) {
-    if (pins_ > 0) {
-      unlink_queue_.push_back(dir_ + "/" + file);
-    } else {
-      unlink_unreferenced(dir_ + "/" + file, who);
-    }
-  }
 }
 
 std::vector<std::vector<double>> CheckpointStore::restore(
@@ -647,9 +663,9 @@ void CheckpointStore::recover_open() {
   //    a crash anywhere in between converges at the next open (the moved
   //    file is already unreferenced; the unmoved one becomes an orphan).
   {
-    util::MutexLock lk(mu_);
-    entries_ = std::move(kept);
-    if (entries_.size() != found.files.size()) publish_manifest(entries_);
+    util::MutexLock wlk(wmu_);
+    if (kept.size() != found.files.size()) publish_manifest(kept);
+    install(std::move(kept), {}, "recovery");
   }
   if (!to_quarantine.empty()) {
     const std::string qdir = dir_ + "/" + kQuarantineDir;

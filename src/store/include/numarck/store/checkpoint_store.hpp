@@ -36,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -157,22 +158,28 @@ class CheckpointStore {
   /// Stores one checkpoint: a codec-tagged step per variable (every store
   /// variable exactly once), written to a fresh container and acknowledged
   /// by an atomic manifest publish — when put() returns, the checkpoint
-  /// survives process death. `iteration` must exceed the current latest.
-  /// Temporal delta steps chain against the previous entry (the caller fed
-  /// them from a compressor in stream order); the first entry, and any entry
-  /// after a gap in that stream, must be reference-free.
+  /// survives process death, and it is visible to get(), list() and
+  /// latest() exactly from then on. `iteration` must exceed the current
+  /// latest. Temporal delta steps chain against the previous entry (the
+  /// caller fed them from a compressor in stream order); the first entry,
+  /// and any entry after a gap in that stream, must be reference-free.
+  /// Holds the writer lock across the container write, its fsyncs and the
+  /// publish; the store lock only to snapshot and swap the entry list.
   void put(std::size_t iteration, double sim_time,
            const std::map<std::string, core::CompressedStep>& steps)
-      EXCLUDES(mu_);
+      EXCLUDES(wmu_, mu_);
 
   /// Reconstructs every variable at a retained iteration, replaying the
-  /// entry's delta chain from its nearest reference-free predecessor.
-  /// The store lock is held only to snapshot the chain's file names and
-  /// pin them; the containers are then opened and scanned kScanWindow at a
-  /// time across the global pool and the variables replayed there in
-  /// parallel (core::FanOutReplay), so put, prune and compaction never wait
-  /// on a restore. A file a concurrent prune or compaction dooms stays on
-  /// disk until the last in-flight restore unpins, whatever it throws.
+  /// entry's delta chain from its nearest reference-free predecessor, as of
+  /// the last completed manifest publish. The store lock is held only to
+  /// snapshot the chain's file names and pin them, and again to unpin; it
+  /// is never held across a writer's I/O, and get never takes the writer
+  /// lock, so a restore never waits on a put, prune or compaction, nor they
+  /// on it. The containers are opened and scanned kScanWindow at a time
+  /// across the global pool and the variables replayed there in parallel
+  /// (core::FanOutReplay). A file a concurrent prune or compaction dooms
+  /// stays on disk until the last in-flight restore unpins, whatever it
+  /// throws.
   [[nodiscard]] std::map<std::string, std::vector<double>> get(
       std::size_t iteration) const EXCLUDES(mu_);
 
@@ -194,19 +201,23 @@ class CheckpointStore {
   /// (bit-exact), and files are unlinked only after the shrunken manifest is
   /// durable — a crash at any instruction leaves no manifest entry naming a
   /// missing file. Tiers other than kBest are recomputed by this sweep.
+  /// Replays and rewrites run on a snapshot under the writer lock only:
+  /// restores keep reading the old chain until the publish, and a file it
+  /// dooms that an in-flight restore pinned is unlinked when that restore
+  /// unpins.
   PruneReport prune(std::size_t keep_last, std::size_t keep_every)
-      EXCLUDES(mu_);
+      EXCLUDES(wmu_, mu_);
 
   /// Manifest-only tier transaction (no payload I/O): pins `iteration` as
   /// kBest or kEpoch, or releases it back to kRolling.
-  void promote(std::size_t iteration, Tier tier) EXCLUDES(mu_);
+  void promote(std::size_t iteration, Tier tier) EXCLUDES(wmu_, mu_);
 
   /// One synchronous compaction step: merges the oldest eligible delta-chain
   /// entry (kEpoch/kBest, or matching epoch_every) into a standalone
   /// reference-free container and swaps it in with a manifest publish.
   /// Returns false when nothing is eligible. The background compactor calls
   /// exactly this, so tools can drain compaction work deterministically.
-  bool compact_once() EXCLUDES(mu_);
+  bool compact_once() EXCLUDES(wmu_, mu_);
 
   /// Starts the background compactor thread. It scans every
   /// compact_interval, retries transient I/O errors with exponential
@@ -232,20 +243,38 @@ class CheckpointStore {
   [[nodiscard]] const std::string& directory() const noexcept { return dir_; }
 
  private:
-  void recover_open();
-  void publish_manifest(const std::vector<EntryInfo>& entries) REQUIRES(mu_);
-  /// Publishes one container holding `steps[v]` for every store variable v.
+  // Lock order: wmu_ before mu_. The writer lock serialises the mutators
+  // (put, promote, prune, compact_once, the open-time publish) across their
+  // container writes, fsyncs, renames and manifest publish; each works on a
+  // snapshot of entries_, which no one else changes while it holds wmu_,
+  // and swaps its result in with install(). mu_ guards the in-memory state
+  // only and is never held across I/O.
+
+  void recover_open() EXCLUDES(wmu_, mu_);
+  /// Copy of entries_ as of the last completed publish.
+  [[nodiscard]] std::vector<EntryInfo> snapshot() const EXCLUDES(mu_);
+  void publish_manifest(const std::vector<EntryInfo>& entries) REQUIRES(wmu_);
+  /// Publishes one container holding `*steps[v]` for every store variable v.
   void write_container(const std::string& file, double sim_time,
-                       const std::vector<core::CompressedStep>& steps) const;
-  [[nodiscard]] std::size_t entry_index(std::size_t iteration) const
-      REQUIRES(mu_);
-  /// Index of the nearest reference-free entry at or before `index`.
-  [[nodiscard]] std::size_t chain_start_locked(std::size_t index) const
-      REQUIRES(mu_);
-  /// Replays every store variable to entry `index` from its chain start,
-  /// continuing where `replay` stands when it is on that chain.
-  void replay_locked(core::ChainReplay& replay, std::size_t index) const
-      REQUIRES(mu_);
+                       std::span<const core::CompressedStep* const> steps) const
+      REQUIRES(wmu_);
+  /// Replays every store variable to `entries[index]` from its chain start,
+  /// continuing where `replay` stands when it is on that chain. `entries`
+  /// is the writer's snapshot, so none of its files can be unlinked.
+  void replay_chain(core::ChainReplay& replay,
+                    std::span<const EntryInfo> entries, std::size_t index) const
+      REQUIRES(wmu_);
+  /// Writes `entry`, replayed over every store variable in `replayed`, as a
+  /// standalone reference-free container; returns the updated entry.
+  [[nodiscard]] EntryInfo write_standalone(
+      const EntryInfo& entry, const core::ChainReplay& replayed) const
+      REQUIRES(wmu_);
+  /// Swaps in the just-published `entries`, then retires `doomed`: files
+  /// the manifest no longer names are unlinked outside mu_, or queued while
+  /// a restore holds a pin.
+  void install(std::vector<EntryInfo> entries,
+               const std::vector<std::string>& doomed, const char* who)
+      REQUIRES(wmu_) EXCLUDES(mu_);
   /// Snapshots the chain of `iteration`, its reference-free start first,
   /// and pins it: until unpin(), prune and compaction queue the files they
   /// doom instead of unlinking them.
@@ -253,20 +282,10 @@ class CheckpointStore {
       EXCLUDES(mu_);
   /// Drops one pin; the last one out unlinks the queued files.
   void unpin() const noexcept EXCLUDES(mu_);
-  /// Unlinks files the published manifest no longer names, or queues them
-  /// while a restore holds a pin.
-  void retire_locked(const std::vector<std::string>& files, const char* who)
-      REQUIRES(mu_);
   /// Restores `variables` (store variables, in order) at `iteration`.
   [[nodiscard]] std::vector<std::vector<double>> restore(
       std::size_t iteration, const std::vector<std::string>& variables) const
       EXCLUDES(mu_);
-  /// Writes entry `index`, replayed over every store variable in `replayed`,
-  /// as a standalone reference-free container; returns the updated entry.
-  /// entries_ is not modified.
-  [[nodiscard]] EntryInfo write_standalone_locked(
-      std::size_t index, const core::ChainReplay& replayed) const
-      REQUIRES(mu_);
   void compactor_loop();
 
   std::string dir_;
@@ -274,7 +293,8 @@ class CheckpointStore {
   std::vector<std::string> vars_;   ///< immutable after construction
   std::vector<RecoveryEvent> recovery_;  ///< immutable after construction
 
-  mutable util::Mutex mu_;
+  util::Mutex wmu_;
+  mutable util::Mutex mu_ ACQUIRED_AFTER(wmu_);
   std::vector<EntryInfo> entries_ GUARDED_BY(mu_);
   /// Restores in flight; while non-zero, doomed files go to unlink_queue_.
   mutable std::size_t pins_ GUARDED_BY(mu_) = 0;

@@ -31,6 +31,8 @@
 #define SCOPED_CAPABILITY NUMARCK_THREAD_ANNOTATION_(scoped_lockable)
 #define GUARDED_BY(x) NUMARCK_THREAD_ANNOTATION_(guarded_by(x))
 #define PT_GUARDED_BY(x) NUMARCK_THREAD_ANNOTATION_(pt_guarded_by(x))
+#define ACQUIRED_AFTER(...) \
+  NUMARCK_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
 #define REQUIRES(...) \
   NUMARCK_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
 #define ACQUIRE(...) \

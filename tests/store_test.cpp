@@ -21,10 +21,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -543,8 +545,9 @@ bool same_bits(const std::map<std::string, std::vector<double>>& a,
 
 TEST(Store, GetsRacePutsPrunesAndTheCompactor) {
   // The writer puts, prunes to the last two entries plus every fourth
-  // iteration, and runs the background compactor, so the chains two readers
-  // restore are rewritten and their files doomed mid-get. Every restore
+  // iteration, and runs the background compactor, while a second thread
+  // prunes the same way, so the chains two readers restore are rewritten
+  // and their files doomed mid-get. Every restore
   // must match the decoder bit for bit, and once the threads join every
   // deferred unlink must have run: no orphan is left.
   StoreDir t("race");
@@ -600,11 +603,29 @@ TEST(Store, GetsRacePutsPrunesAndTheCompactor) {
       }
     });
   }
+  // A second mutator prunes while the writer puts: the writer lock
+  // serialises the two, and neither may unlink a file a reader pinned.
+  std::atomic<bool> writing{true};
+  std::atomic<std::size_t> prunes{0};
+  std::thread pruner([&] {
+    while (writing.load()) {
+      try {
+        (void)s.prune(2, kEvery);
+      } catch (const std::exception& e) {
+        const std::lock_guard lk(error_mu);
+        errors.push_back(std::string("concurrent prune: ") + e.what());
+      }
+      ++prunes;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
   for (std::size_t i = 0; i < kIterations; ++i) {
     s.put(i, static_cast<double>(i), stream.steps[i]);
     acked = i + 1;
     if (i % 8 == 7) (void)s.prune(2, kEvery);
   }
+  writing = false;
+  pruner.join();
   // The last puts left epoch deltas behind the newest entry: the readers
   // keep racing until the compactor has merged at least one.
   const auto deadline =
@@ -620,6 +641,7 @@ TEST(Store, GetsRacePutsPrunesAndTheCompactor) {
   EXPECT_TRUE(errors.empty()) << errors.front();
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GE(gets.load(), 8u);
+  EXPECT_GT(prunes.load(), 0u);
   const auto status = s.compactor_status();
   EXPECT_TRUE(status.last_error.empty()) << status.last_error;
   EXPECT_GT(status.compactions, 0u);
@@ -632,6 +654,200 @@ TEST(Store, GetsRacePutsPrunesAndTheCompactor) {
     EXPECT_TRUE(same_bits(s.get(e.iteration), stream.expected[e.iteration]))
         << "iteration " << e.iteration;
   }
+}
+
+namespace {
+
+/// Parks one writer in the middle of its I/O: the first sync() of the first
+/// store temporary whose path ends in `suffix` reports the writer parked,
+/// then blocks until release(). The wait is bounded, so a failing test
+/// cannot hang.
+class SyncGate {
+ public:
+  explicit SyncGate(std::string suffix) : suffix_(std::move(suffix)) {}
+
+  /// The sink factory to put in StoreOptions; `this` must outlive the store.
+  nio::SinkFactory factory() {
+    return [this](const std::string& path) -> std::unique_ptr<nio::ByteSink> {
+      auto inner = std::make_unique<nio::FileSink>(path);
+      if (!path.ends_with(suffix_) || armed_.exchange(true)) return inner;
+      return std::make_unique<Parking>(std::move(inner), *this);
+    };
+  }
+
+  /// True once the writer is parked, false after `timeout` without it.
+  bool wait_parked(std::chrono::seconds timeout) {
+    return parked_future_.wait_for(timeout) == std::future_status::ready;
+  }
+
+  void release() {
+    std::call_once(release_once_, [this] { go_.set_value(); });
+  }
+
+ private:
+  class Parking final : public nio::ByteSink {
+   public:
+    Parking(std::unique_ptr<nio::ByteSink> inner, SyncGate& gate)
+        : inner_(std::move(inner)), gate_(gate) {}
+    void write(const void* data, std::size_t size) override {
+      inner_->write(data, size);
+    }
+    void sync() override {
+      inner_->sync();
+      if (parked_) return;
+      parked_ = true;
+      gate_.parked_.set_value();
+      (void)gate_.released_.wait_for(std::chrono::seconds(30));
+    }
+    void close() override { inner_->close(); }
+
+   private:
+    std::unique_ptr<nio::ByteSink> inner_;
+    SyncGate& gate_;
+    bool parked_ = false;
+  };
+
+  std::string suffix_;
+  std::atomic<bool> armed_{false};
+  std::promise<void> parked_;
+  std::future<void> parked_future_ = parked_.get_future();
+  std::promise<void> go_;
+  std::shared_future<void> released_ = go_.get_future().share();
+  std::once_flag release_once_;
+};
+
+/// Releases the gate when the test leaves its scope, early returns included,
+/// so the parked writer the test's futures wait for always finishes.
+struct ReleaseOnExit {
+  SyncGate& gate;
+  ~ReleaseOnExit() { gate.release(); }
+};
+
+constexpr auto kAnswerWithin = std::chrono::seconds(10);
+
+}  // namespace
+
+TEST(Store, RestoresNeverWaitOnAPutsFsync) {
+  // Put 4 parks in its container's fsync. Meanwhile every query of the
+  // acknowledged iterations answers, bit-exact, and iteration 4 stays
+  // invisible: an iteration is retained exactly when its put returns.
+  StoreDir t("parked_put");
+  const std::vector<std::string> vars = {"dens", "pres"};
+  const EncodedStream stream = encode_stream(vars, 5);
+  SyncGate gate("/it00000004.nck.tmp");
+  ns::StoreOptions opts;
+  opts.sink_factory = gate.factory();
+  ns::CheckpointStore s(t.dir, vars, opts);
+  for (std::size_t i = 0; i < 4; ++i) {
+    s.put(i, static_cast<double>(i), stream.steps[i]);
+  }
+
+  auto writer = std::async(std::launch::async,
+                           [&] { s.put(4, 4.0, stream.steps[4]); });
+  const ReleaseOnExit release{gate};
+  ASSERT_TRUE(gate.wait_parked(kAnswerWithin)) << "put 4 never reached fsync";
+  auto reader = std::async(std::launch::async, [&] {
+    std::vector<std::string> failures;
+    for (std::size_t it = 0; it < 4; ++it) {
+      if (!same_bits(s.get(it), stream.expected[it])) {
+        failures.push_back("get " + std::to_string(it));
+      }
+      for (const auto& var : vars) {
+        if (!same_bits(s.get_variable(var, it), stream.expected[it].at(var))) {
+          failures.push_back("get_variable " + var + " " + std::to_string(it));
+        }
+      }
+    }
+    if (listed_iterations(s) != std::set<std::size_t>{0, 1, 2, 3}) {
+      failures.push_back("list shows the parked put");
+    }
+    if (s.latest() != std::optional<std::size_t>(3)) {
+      failures.push_back("latest is not 3");
+    }
+    try {
+      (void)s.get(4);
+      failures.push_back("get 4 answered before its put returned");
+    } catch (const numarck::ContractViolation& e) {
+      if (std::string(e.what()).find("not retained") == std::string::npos) {
+        failures.push_back(e.what());
+      }
+    }
+    return failures;
+  });
+  const bool answered =
+      reader.wait_for(kAnswerWithin) == std::future_status::ready;
+  gate.release();
+  writer.get();
+  ASSERT_TRUE(answered) << "a query waited on the parked put";
+  for (const auto& failure : reader.get()) ADD_FAILURE() << failure;
+
+  EXPECT_EQ(s.latest(), std::optional<std::size_t>(4));
+  EXPECT_TRUE(same_bits(s.get(4), stream.expected[4]));
+  expect_manifest_closed(t.dir);
+}
+
+TEST(Store, RestoresNeverWaitOnAPruneRewrite) {
+  // One chain 0..6 with 3 pinned kBest: prune(2, 0) drops 0-2 and 4 and
+  // rewrites 3, 5 and 6 standalone, parking in the first rewrite's fsync.
+  // Meanwhile gets on the chain being rewritten answer bit-exact from the
+  // old files, which all still exist; once the prune returns they are gone.
+  StoreDir t("parked_prune");
+  const std::vector<std::string> vars = {"dens", "pres"};
+  const EncodedStream stream = encode_stream(vars, 7);
+  SyncGate gate(".epoch.nck.tmp");
+  ns::StoreOptions opts;
+  opts.sink_factory = gate.factory();
+  ns::CheckpointStore s(t.dir, vars, opts);
+  for (std::size_t i = 0; i < stream.steps.size(); ++i) {
+    s.put(i, static_cast<double>(i), stream.steps[i]);
+  }
+  s.promote(3, ns::Tier::kBest);
+  const auto before = s.list();
+  ASSERT_EQ(before.size(), 7u);
+
+  auto pruner = std::async(std::launch::async, [&] { return s.prune(2, 0); });
+  const ReleaseOnExit release{gate};
+  ASSERT_TRUE(gate.wait_parked(kAnswerWithin)) << "prune never rewrote";
+  auto reader = std::async(std::launch::async, [&] {
+    std::vector<std::string> failures;
+    for (const std::size_t it : {3u, 5u, 6u}) {
+      if (!same_bits(s.get(it), stream.expected[it])) {
+        failures.push_back("get " + std::to_string(it));
+      }
+      if (!same_bits(s.get_variable(vars[1], it),
+                     stream.expected[it].at(vars[1]))) {
+        failures.push_back("get_variable " + std::to_string(it));
+      }
+    }
+    if (s.list().size() != before.size()) {
+      failures.push_back("list shows the parked prune");
+    }
+    return failures;
+  });
+  const bool answered =
+      reader.wait_for(kAnswerWithin) == std::future_status::ready;
+  for (const auto& e : before) {
+    EXPECT_TRUE(fs::exists(t.dir + "/" + e.file))
+        << e.file << " unlinked before the prune published";
+  }
+  gate.release();
+  const auto report = pruner.get();
+  ASSERT_TRUE(answered) << "a query waited on the parked prune";
+  for (const auto& failure : reader.get()) ADD_FAILURE() << failure;
+
+  EXPECT_EQ(report.kept, 3u);
+  EXPECT_EQ(report.dropped, 4u);
+  EXPECT_EQ(report.rewritten, 3u);
+  for (const auto& e : before) {
+    EXPECT_FALSE(fs::exists(t.dir + "/" + e.file)) << e.file;
+  }
+  for (const std::size_t it : {3u, 5u, 6u}) {
+    EXPECT_TRUE(same_bits(s.get(it), stream.expected[it])) << "iteration " << it;
+  }
+  const auto insp = ns::inspect_store(t.dir);
+  EXPECT_TRUE(insp.orphans.empty());
+  EXPECT_TRUE(insp.stale_tmps.empty());
+  expect_manifest_closed(t.dir);
 }
 
 TEST(Store, GetOnAChainDeeperThanTheScanWindow) {
