@@ -114,9 +114,10 @@ class NumarckCodec final : public Codec {
     core::decode_iteration_into(state, enc, state);
   }
 
-  std::size_t validate_payload(
-      std::span<const std::uint8_t> payload) const override {
-    return core::EncodedIteration::deserialize(payload).point_count;
+  std::size_t validate_payload(std::span<const std::uint8_t> payload,
+                               std::size_t max_points) const override {
+    return core::EncodedIteration::deserialize(payload, max_points)
+        .point_count;
   }
 
  private:
@@ -177,9 +178,11 @@ class FpcCodec final : public Codec {
     return out;
   }
 
-  std::size_t validate_payload(
-      std::span<const std::uint8_t> payload) const override {
-    return lossless::fpc_validate(payload);
+  std::size_t validate_payload(std::span<const std::uint8_t> payload,
+                               std::size_t max_points) const override {
+    const std::size_t n = lossless::fpc_validate(payload);
+    NUMARCK_EXPECT(n <= max_points, "fpc: point count exceeds caller bound");
+    return n;
   }
 };
 
@@ -318,10 +321,12 @@ class SpatialCodec : public Codec {
     return out;
   }
 
-  std::size_t validate_payload(
-      std::span<const std::uint8_t> payload) const final {
+  std::size_t validate_payload(std::span<const std::uint8_t> payload,
+                               std::size_t max_points) const final {
     const SpatialPayload p = unwrap_spatial(payload);
     const Compressed model = Compressed::deserialize(p.inner);
+    NUMARCK_EXPECT(model.point_count <= max_points,
+                   "spatial codec: point count exceeds caller bound");
     NUMARCK_EXPECT(p.patch_index.size() <= model.point_count,
                    "spatial codec: more patches than points");
     NUMARCK_EXPECT(p.patch_index.empty() ||

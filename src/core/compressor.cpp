@@ -103,95 +103,72 @@ bool starts_chain(bool is_full, std::uint8_t codec_id) noexcept {
   return c != nullptr && !c->caps().temporal;
 }
 
-void ChainReplay::replay_to(std::size_t start, std::size_t target,
-                            const RecordLoader& load) {
-  replay(start, target, load, /*keep_at_target=*/true);
+ChainReplay::ChainReplay(const std::vector<std::size_t>& starts)
+    : chains_(starts.size()) {
+  for (std::size_t v = 0; v < starts.size(); ++v) {
+    chains_[v].start = chains_[v].next = starts[v];
+  }
 }
 
-std::vector<std::vector<double>> ChainReplay::restore(
-    std::size_t start, std::size_t target, const RecordLoader& load) {
-  replay(start, target, load, /*keep_at_target=*/false);
-  start_.reset();
+void ChainReplay::replay_to(std::size_t target, const Loader& load) {
+  advance(target, load, /*keep_at_target=*/true);
+}
+
+std::vector<std::vector<double>> ChainReplay::restore(std::size_t target,
+                                                      const Loader& load) {
+  advance(target, load, /*keep_at_target=*/false);
   std::vector<std::vector<double>> out;
-  out.reserve(recon_.size());
-  for (auto& r : recon_) out.push_back(r.release_state());
+  out.reserve(chains_.size());
+  for (Chain& c : chains_) out.push_back(c.recon.release_state());
+  reset();
   return out;
 }
 
-void ChainReplay::replay(std::size_t start, std::size_t target,
-                         const RecordLoader& load, bool keep_at_target) {
-  NUMARCK_EXPECT(start <= target, "chain replay: start after the target");
-  if (start_ != start || target + 1 < next_) {
-    for (auto& r : recon_) r = VariableReconstructor{};
-    start_ = start;
-    next_ = start;
+void ChainReplay::reset() noexcept {
+  for (Chain& c : chains_) {
+    c.recon = VariableReconstructor{};
+    c.next = c.start;
   }
-  const auto load_at = [&](std::size_t position,
-                           std::vector<CompressedStep>& out) {
-    out.clear();
-    load(position, out);
-    NUMARCK_EXPECT(out.size() == recon_.size(),
-                   "chain replay: loader returned the wrong record count");
-  };
-  std::vector<CompressedStep> steps;
-  std::vector<CompressedStep> ahead;
-  try {
-    if (next_ <= target) load_at(next_, steps);
-    for (; next_ <= target; ++next_) {
-      const bool last = next_ == target;
-      if (!last) load_at(next_ + 1, ahead);
-      for (std::size_t v = 0; v < steps.size(); ++v) {
-        recon_[v].push(steps[v], last ? keep_at_target
-                                      : reads_previous2(ahead[v]));
-      }
-      std::swap(steps, ahead);
+  started_ = false;
+}
+
+void ChainReplay::advance(std::size_t target, const Loader& load,
+                          bool keep_at_target) {
+  const auto replay = [&](std::size_t v) {
+    Chain& c = chains_[v];
+    if (c.next > target) return;
+    CompressedStep step = load(v, c.next);
+    for (; c.next <= target; ++c.next) {
+      const bool last = c.next == target;
+      CompressedStep ahead;
+      if (!last) ahead = load(v, c.next + 1);
+      c.recon.push(step, last ? keep_at_target : reads_previous2(ahead));
+      step = std::move(ahead);
     }
+  };
+  try {
+    for (const Chain& c : chains_) {
+      NUMARCK_EXPECT(c.start <= target && c.next <= target + 1,
+                     "chain replay: target before a variable's position");
+    }
+    if (!started_) {
+      for (std::size_t v = 0; v < chains_.size(); ++v) {
+        chains_[v].recon.push(load(v, chains_[v].start),
+                              /*keep_previous=*/false);
+        ++chains_[v].next;
+      }
+      started_ = true;
+    }
+    util::ThreadPool& pool = util::ThreadPool::global();
+    util::parallel_chunks(
+        pool, util::ChunkPlan(0, chains_.size(), pool.size(), 1),
+        [&](std::size_t, std::size_t v0, std::size_t v1) {
+          for (std::size_t v = v0; v < v1; ++v) replay(v);
+        });
   } catch (...) {
-    start_.reset();
+    reset();
     throw;
   }
-}
-
-FanOutReplay::FanOutReplay(std::vector<std::size_t> starts)
-    : starts_(std::move(starts)), replays_(starts_.size(), ChainReplay(1)) {}
-
-void FanOutReplay::replay_to(std::size_t target, const Loader& load) {
-  advance(target, load, nullptr);
-}
-
-std::vector<std::vector<double>> FanOutReplay::restore(std::size_t target,
-                                                       const Loader& load) {
-  std::vector<std::vector<double>> out(replays_.size());
-  advance(target, load, &out);
-  return out;
-}
-
-void FanOutReplay::advance(std::size_t target, const Loader& load,
-                           std::vector<std::vector<double>>* out) {
-  const auto loader = [&load](std::size_t v) -> ChainReplay::RecordLoader {
-    return [&load, v](std::size_t position, std::vector<CompressedStep>& steps) {
-      load(v, position, steps);
-    };
-  };
-  if (!started_) {
-    for (std::size_t v = 0; v < replays_.size(); ++v) {
-      replays_[v].replay_to(starts_[v], starts_[v], loader(v));
-    }
-    started_ = true;
-  }
-  util::ThreadPool& pool = util::ThreadPool::global();
-  util::parallel_chunks(
-      pool, util::ChunkPlan(0, replays_.size(), pool.size(), 1),
-      [&](std::size_t, std::size_t v0, std::size_t v1) {
-        for (std::size_t v = v0; v < v1; ++v) {
-          if (out == nullptr) {
-            replays_[v].replay_to(starts_[v], target, loader(v));
-          } else {
-            (*out)[v] = std::move(
-                replays_[v].restore(starts_[v], target, loader(v)).front());
-          }
-        }
-      });
 }
 
 }  // namespace numarck::core

@@ -101,16 +101,18 @@ class Codec {
 
   /// Structurally parses (and bounds-checks) a payload without producing
   /// the reconstructed values, returning its point count. Throws
-  /// ContractViolation on any malformed stream. How much it parses is per
-  /// codec: fpc walks the header bits; the spatial codecs deserialize the
-  /// model and patch stream; numarck runs the full
-  /// EncodedIteration::deserialize, entropy (rANS/Huffman) index decode and
-  /// FPC exact-value decode included — nearly the cost of decode itself.
-  /// Called by io::CheckpointReader::load, for readers that inspect records
-  /// without decoding them (numarck-inspect, numarck-bench-codec). The
-  /// chain-replay restore path skips it: decode runs the same checks.
+  /// ContractViolation on any malformed stream and on a count above
+  /// `max_points` (numarck checks it from the header, before anything is
+  /// sized from it). How much it parses is per codec: fpc walks the header
+  /// bits; the spatial codecs deserialize the model and patch stream;
+  /// numarck runs the full EncodedIteration::deserialize, entropy
+  /// (rANS/Huffman) index decode and FPC exact-value decode included —
+  /// nearly the cost of decode itself. Called by io::CheckpointReader::load
+  /// (bounding a delta by its chain-start record), for readers that inspect
+  /// records without decoding them (numarck-inspect, numarck-bench-codec).
+  /// The chain-replay restore path skips it: decode runs the same checks.
   [[nodiscard]] virtual std::size_t validate_payload(
-      std::span<const std::uint8_t> payload) const = 0;
+      std::span<const std::uint8_t> payload, std::size_t max_points) const = 0;
 };
 
 /// All registered codecs, in id order.

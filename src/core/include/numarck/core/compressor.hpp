@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -118,80 +117,55 @@ class VariableReconstructor {
 /// (spatial codecs stand alone). Unknown codec ids never start a chain.
 [[nodiscard]] bool starts_chain(bool is_full, std::uint8_t codec_id) noexcept;
 
-/// Forward replay of one delta chain — the single restore routine: one
-/// VariableReconstructor per replayed variable, the chain start and the
-/// position reached. Positions are the caller's (container iterations, store
-/// entry indices). replay_to() a target on the same chain at or after the
-/// position reached continues from there; any other target restarts at its
-/// chain start. Records are loaded one position ahead of the one being
-/// decoded, so each delta before the target decodes in place and D'_{i-1}
-/// is kept only for a linear-coded successor. A throw resets the replay.
+/// Forward replay of delta chains — the single restore routine of
+/// io::RestartEngine and store::CheckpointStore (restores and rewrites).
+/// Each variable keeps its own VariableReconstructor, chain start and
+/// position reached; positions are the caller's (container iterations,
+/// store entry indices). The first call decodes every chain start on the
+/// caller (FPC fulls, whose decoder keeps a 1 MB table pair per thread that
+/// runs it); after that the deltas of each variable replay on one chunk of
+/// the global pool. Targets ascend, each call continuing from where every
+/// variable stands, so a caller can hand records over in windows. Records
+/// load one position ahead of the one decoding, so each delta before the
+/// target decodes in place and D'_{i-1} is kept only for a linear-coded
+/// successor. A throw resets the replay to its chain starts.
 class ChainReplay {
  public:
-  /// Appends the records at one position to `out`, one per variable, in
-  /// order.
-  using RecordLoader = std::function<void(std::size_t position,
-                                          std::vector<CompressedStep>& out)>;
-
-  explicit ChainReplay(std::size_t variables) : recon_(variables) {}
-
-  /// Brings every variable to `target` on the chain starting at `start`.
-  void replay_to(std::size_t start, std::size_t target,
-                 const RecordLoader& load);
-
-  [[nodiscard]] const std::vector<double>& state(std::size_t v) const {
-    return recon_.at(v).state();
-  }
-
-  /// replay_to() for a restore that ends at `target`: the target's deltas
-  /// also decode in place, keeping nothing for a successor, and the states
-  /// move out to the caller, one per variable, in order. The next
-  /// replay_to() starts over.
-  [[nodiscard]] std::vector<std::vector<double>> restore(
-      std::size_t start, std::size_t target, const RecordLoader& load);
-
- private:
-  /// replay_to(); `keep_at_target` keeps D'_{target-1} for a later call.
-  void replay(std::size_t start, std::size_t target, const RecordLoader& load,
-              bool keep_at_target);
-
-  std::vector<VariableReconstructor> recon_;
-  std::optional<std::size_t> start_;  ///< empty until the first replay
-  std::size_t next_ = 0;              ///< next position to push
-};
-
-/// The restore fan-out over independent variables, shared by every
-/// multi-variable restore (io::RestartEngine::reconstruct,
-/// store::CheckpointStore::get): one ChainReplay per variable, variable v
-/// replaying its own chain from `starts[v]`. The first call decodes every
-/// chain start on the caller (they are FPC fulls, whose decoder keeps a
-/// 1 MB table pair per thread that decodes one); after that the deltas of
-/// each variable replay on one chunk of the global pool. replay_to() may be
-/// called with ascending targets, each variable continuing where it
-/// stands, so a caller can hand the records over in windows.
-class FanOutReplay {
- public:
-  /// Appends variable `variable`'s record at `position` to `out`. Called
+  /// Returns variable `variable`'s record at `position`. Called
   /// concurrently for distinct variables.
-  using Loader = std::function<void(std::size_t variable, std::size_t position,
-                                     std::vector<CompressedStep>& out)>;
+  using Loader =
+      std::function<CompressedStep(std::size_t variable, std::size_t position)>;
 
-  explicit FanOutReplay(std::vector<std::size_t> starts);
+  /// Variable v replays its chain from position `starts[v]`.
+  explicit ChainReplay(const std::vector<std::size_t>& starts);
 
-  /// Brings every variable to `target`, which is at or after every start.
+  /// Brings every variable to `target`, which is at or after every start
+  /// and every earlier target.
   void replay_to(std::size_t target, const Loader& load);
 
-  /// replay_to() for the last target: the states move out, one per
-  /// variable, in order.
+  /// Variable `v`'s state at the last target.
+  [[nodiscard]] const std::vector<double>& state(std::size_t v) const {
+    return chains_.at(v).recon.state();
+  }
+
+  /// replay_to() for a restore that ends at `target`: its deltas also decode
+  /// in place, keeping nothing, and the states move out, one per variable.
+  /// The next call starts over.
   [[nodiscard]] std::vector<std::vector<double>> restore(std::size_t target,
                                                          const Loader& load);
 
  private:
-  void advance(std::size_t target, const Loader& load,
-               std::vector<std::vector<double>>* out);
+  struct Chain {
+    VariableReconstructor recon;
+    std::size_t start = 0;
+    std::size_t next = 0;  ///< next position to push
+  };
 
-  std::vector<std::size_t> starts_;
-  std::vector<ChainReplay> replays_;
+  /// replay_to(); `keep_at_target` keeps D'_{target-1} for a later call.
+  void advance(std::size_t target, const Loader& load, bool keep_at_target);
+  void reset() noexcept;
+
+  std::vector<Chain> chains_;
   bool started_ = false;  ///< chain starts decoded
 };
 

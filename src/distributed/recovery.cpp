@@ -28,14 +28,12 @@ RecoveryResult recover(const std::string& base,
     }
     count = manifest.partition_sizes[*rank_filter];
   }
-  for (const auto& v : manifest.variables) {
-    auto global = engine.reconstruct_variable(v, *last);
-    if (rank_filter == nullptr) {
-      result.state[v] = std::move(global);
-    } else {
-      result.state[v].assign(
-          global.begin() + static_cast<std::ptrdiff_t>(offset),
-          global.begin() + static_cast<std::ptrdiff_t>(offset + count));
+  result.state = engine.reconstruct(*last);
+  if (rank_filter != nullptr) {
+    for (auto& [v, global] : result.state) {
+      const auto first = global.begin() + static_cast<std::ptrdiff_t>(offset);
+      global = std::vector<double>(
+          first, first + static_cast<std::ptrdiff_t>(count));
     }
   }
   return result;

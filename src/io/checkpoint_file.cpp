@@ -113,6 +113,23 @@ namespace {
 /// memory stays bounded regardless of container size.
 constexpr std::size_t kScanChunkBytes = 256u << 10;
 
+/// The LATEST record of `variable` at or before `iteration` that may start
+/// a chain: correct for rebased chains (the adaptive controller emits
+/// periodic fulls) and avoids decoding history the rebase supersedes.
+/// nullopt when there is none.
+std::optional<std::size_t> chain_start(const CheckpointReader& reader,
+                                       const std::string& variable,
+                                       std::size_t iteration) {
+  for (std::size_t it = iteration + 1; it-- > 0;) {
+    const auto info = reader.info(variable, it);
+    if (info && core::starts_chain(info->type == RecordType::kFull,
+                                   info->codec_id)) {
+      return it;
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 class CheckpointReader::Impl final : private ScanEvents {
@@ -292,11 +309,19 @@ core::CompressedStep CheckpointReader::read(const std::string& variable,
 core::CompressedStep CheckpointReader::load(const std::string& variable,
                                             std::size_t iteration) const {
   core::CompressedStep step = read(variable, iteration);
+  // A delta holds no more points than its chain-start record, validated
+  // first; with none in this container (a store entry's), the ceiling.
+  std::size_t max_points = core::EncodedIteration::kDefaultMaxPointCount;
+  if (!core::starts_chain(step.is_full, step.codec_id)) {
+    if (const auto start = chain_start(*this, variable, iteration)) {
+      max_points = load(variable, *start).point_count;
+    }
+  }
   // Deep structural validation through the record's codec: every count and
   // offset inside the payload is bounds-checked here, so a record that
   // loads cleanly also decodes cleanly.
-  step.point_count =
-      codec::require(step.codec_id).validate_payload(step.payload);
+  step.point_count = codec::require(step.codec_id)
+                         .validate_payload(step.payload, max_points);
   return step;
 }
 
@@ -312,58 +337,38 @@ std::uint64_t CheckpointReader::container_bytes() const noexcept {
 
 namespace {
 
-/// The LATEST record of `variable` at or before `iteration` that may start
-/// a chain: correct for rebased chains (the adaptive controller emits
-/// periodic fulls) and avoids decoding history the rebase supersedes.
-std::size_t chain_start(const CheckpointReader& reader,
-                        const std::string& variable, std::size_t iteration) {
-  for (std::size_t it = iteration + 1; it-- > 0;) {
-    const auto info = reader.info(variable, it);
-    if (info && core::starts_chain(info->type == RecordType::kFull,
-                                   info->codec_id)) {
-      return it;
-    }
-  }
-  NUMARCK_EXPECT(false,
-                 "no full checkpoint at or before the requested iteration");
-  return 0;
-}
-
+/// Every variable of `variables` at `iteration`, one ChainReplay over them.
 /// Records are read CRC-checked but not validate_payload'ed: decode runs
 /// the same structural checks, so each record is parsed once.
-core::ChainReplay::RecordLoader loader(const CheckpointReader& reader,
-                                       const std::string& variable) {
-  return [&reader, &variable](std::size_t it, auto& out) {
-    out.push_back(reader.read(variable, it));
-  };
+std::vector<std::vector<double>> restore(
+    const CheckpointReader& reader, const std::vector<std::string>& variables,
+    std::size_t iteration) {
+  NUMARCK_EXPECT(iteration < reader.iteration_count(),
+                 "restart iteration beyond checkpoint history");
+  std::vector<std::size_t> starts;
+  for (const auto& v : variables) {
+    const auto start = chain_start(reader, v, iteration);
+    NUMARCK_EXPECT(start.has_value(),
+                   "no full checkpoint at or before the requested iteration");
+    starts.push_back(*start);
+  }
+  return core::ChainReplay(starts).restore(
+      iteration, [&](std::size_t v, std::size_t it) {
+        return reader.read(variables[v], it);
+      });
 }
 
 }  // namespace
 
 std::vector<double> RestartEngine::reconstruct_variable(
     const std::string& variable, std::size_t iteration) const {
-  NUMARCK_EXPECT(iteration < reader_.iteration_count(),
-                 "restart iteration beyond checkpoint history");
-  const std::size_t start = chain_start(reader_, variable, iteration);
-  core::ChainReplay replay(1);
-  return std::move(
-      replay.restore(start, iteration, loader(reader_, variable)).front());
+  return std::move(restore(reader_, {variable}, iteration).front());
 }
 
 std::map<std::string, std::vector<double>> RestartEngine::reconstruct(
     std::size_t iteration) const {
-  NUMARCK_EXPECT(iteration < reader_.iteration_count(),
-                 "restart iteration beyond checkpoint history");
   const std::vector<std::string>& vars = reader_.variables();
-  std::vector<std::size_t> starts(vars.size());
-  for (std::size_t v = 0; v < vars.size(); ++v) {
-    starts[v] = chain_start(reader_, vars[v], iteration);
-  }
-  core::FanOutReplay replay(std::move(starts));
-  std::vector<std::vector<double>> states = replay.restore(
-      iteration, [this, &vars](std::size_t v, std::size_t it, auto& out) {
-        out.push_back(reader_.read(vars[v], it));
-      });
+  std::vector<std::vector<double>> states = restore(reader_, vars, iteration);
   std::map<std::string, std::vector<double>> out;
   for (std::size_t v = 0; v < vars.size(); ++v) {
     out[vars[v]] = std::move(states[v]);

@@ -10,7 +10,18 @@
 namespace numarck::io {
 
 namespace {
+
 constexpr std::uint64_t kManifestMagic = 0x4E4D4B4D414E4946ull;  // "NMKMANIF"
+
+void expect_restartable(const DistributedRestartEngine& engine,
+                        std::size_t iteration) {
+  const auto last = engine.last_complete_iteration();
+  NUMARCK_EXPECT(last.has_value(),
+                 "no globally complete checkpoint iteration to restart from");
+  NUMARCK_EXPECT(iteration <= *last,
+                 "iteration is beyond the last globally complete one");
+}
+
 }  // namespace
 
 std::size_t Manifest::total_points() const noexcept {
@@ -167,11 +178,7 @@ std::size_t DistributedRestartEngine::iteration_count() const {
 
 std::vector<double> DistributedRestartEngine::reconstruct_variable(
     const std::string& variable, std::size_t iteration) const {
-  const auto last = last_complete_iteration();
-  NUMARCK_EXPECT(last.has_value(),
-                 "no globally complete checkpoint iteration to restart from");
-  NUMARCK_EXPECT(iteration <= *last,
-                 "iteration is beyond the last globally complete one");
+  expect_restartable(*this, iteration);
   // No reserve from the manifest's claimed total: sizes are only trusted
   // after each rank's reconstruction confirms them below.
   std::vector<double> global;
@@ -187,9 +194,18 @@ std::vector<double> DistributedRestartEngine::reconstruct_variable(
 
 std::map<std::string, std::vector<double>> DistributedRestartEngine::reconstruct(
     std::size_t iteration) const {
+  expect_restartable(*this, iteration);
+  // One replay per rank file, its variables fanned out across the pool.
   std::map<std::string, std::vector<double>> out;
-  for (const auto& v : manifest_.variables) {
-    out[v] = reconstruct_variable(v, iteration);
+  for (std::size_t k = 0; k < manifest_.ranks; ++k) {
+    auto parts = RestartEngine(*readers_[k]).reconstruct(iteration);
+    for (const auto& v : manifest_.variables) {
+      const std::vector<double>& part = parts.at(v);
+      NUMARCK_EXPECT(part.size() == manifest_.partition_sizes[k],
+                     "rank partition length disagrees with the manifest");
+      std::vector<double>& global = out[v];
+      global.insert(global.end(), part.begin(), part.end());
+    }
   }
   return out;
 }

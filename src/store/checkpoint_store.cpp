@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -249,20 +250,6 @@ void CheckpointStore::write_container(
       });
 }
 
-void CheckpointStore::replay_chain(core::ChainReplay& replay,
-                                   std::span<const EntryInfo> entries,
-                                   std::size_t index) const {
-  replay.replay_to(chain_start(entries, index), index, [&](std::size_t i,
-                                                           auto& out) {
-    // One container open per chain entry, every variable from it.
-    // CRC-checked reads only: decode is the structural check, so each record
-    // is parsed once.
-    const io::CheckpointReader reader(dir_ + "/" + entries[i].file,
-                                      io::TailPolicy::kStrict);
-    for (const auto& v : vars_) out.push_back(reader.read(v, 0));
-  });
-}
-
 EntryInfo CheckpointStore::write_standalone(
     const EntryInfo& entry, const core::ChainReplay& replayed) const {
   std::vector<core::CompressedStep> steps;
@@ -365,9 +352,10 @@ PruneReport CheckpointStore::prune(std::size_t keep_last,
 
   // Rewrite every retained entry whose delta chain crosses a dropped one
   // BEFORE anything is deleted, while the chain is still replayable. The
-  // rewrites of one chain come in ascending order, so the single replay
-  // below continues along it and decodes each chain entry once.
-  core::ChainReplay replay(vars_.size());
+  // rewrites of one chain are ascending targets of one replay, which decodes
+  // each chain entry once; the next chain starts a new replay.
+  std::optional<core::ChainReplay> replay;
+  std::size_t replayed = 0;  // first entry the replay has not reached
   std::vector<EntryInfo> kept;
   std::vector<std::string> doomed;  // files to unlink after the publish
   bool chain_broken = false;  // the current chain crosses a dropped entry
@@ -383,8 +371,14 @@ PruneReport CheckpointStore::prune(std::size_t keep_last,
     }
     if (!e.reference_free && chain_broken) {
       doomed.push_back(e.file);
-      replay_chain(replay, entries, i);
-      e = write_standalone(e, replay);
+      const std::size_t start = chain_start(entries, i);
+      if (!replay || replayed <= start) {  // a new chain
+        replay.emplace(std::vector<std::size_t>(vars_.size(), start));
+        replayed = start;
+      }
+      scan_chain(*replay, entries, replayed, i, vars_, /*restore=*/false);
+      replayed = i + 1;
+      e = write_standalone(e, *replay);
       ++report.rewritten;
     }
     // Retention tiers are recomputed by every sweep; only kBest is sticky.
@@ -422,8 +416,9 @@ bool CheckpointStore::compact_once() {
         (opts_.epoch_every > 0 && e.iteration % opts_.epoch_every == 0);
     if (!eligible) continue;
 
-    core::ChainReplay replay(vars_.size());
-    replay_chain(replay, entries, i);
+    const std::size_t start = chain_start(entries, i);
+    core::ChainReplay replay(std::vector<std::size_t>(vars_.size(), start));
+    scan_chain(replay, entries, start, i, vars_, /*restore=*/false);
     EntryInfo merged = write_standalone(e, replay);
     if (merged.tier == Tier::kRolling) merged.tier = Tier::kEpoch;
     const std::vector<std::string> doomed = {e.file};
@@ -465,18 +460,15 @@ std::map<std::string, std::vector<double>> CheckpointStore::get(
   return out;
 }
 
-std::vector<std::string> CheckpointStore::pin_chain(
-    std::size_t iteration) const {
+std::vector<EntryInfo> CheckpointStore::pin_chain(std::size_t iteration) const {
   util::MutexLock lk(mu_);
   const std::size_t index = entry_index(entries_, iteration);
-  const std::size_t start = chain_start(entries_, index);
-  std::vector<std::string> files;
-  files.reserve(index - start + 1);
-  for (std::size_t i = start; i <= index; ++i) {
-    files.push_back(dir_ + "/" + entries_[i].file);
-  }
+  const auto first = entries_.begin();
+  std::vector<EntryInfo> chain(
+      first + static_cast<std::ptrdiff_t>(chain_start(entries_, index)),
+      first + static_cast<std::ptrdiff_t>(index + 1));
   ++pins_;
-  return files;
+  return chain;
 }
 
 void CheckpointStore::unpin() const noexcept {
@@ -492,20 +484,26 @@ void CheckpointStore::unpin() const noexcept {
 
 std::vector<std::vector<double>> CheckpointStore::restore(
     std::size_t iteration, const std::vector<std::string>& variables) const {
-  const std::vector<std::string> files = pin_chain(iteration);
+  const std::vector<EntryInfo> chain = pin_chain(iteration);
   struct Unpin {
     const CheckpointStore& store;
     ~Unpin() { store.unpin(); }
   } const unpin{*this};
-
-  // Position p of the replay is files[p]; every variable starts at 0, the
+  // Position p of the replay is chain[p]; every variable starts at 0, the
   // chain's reference-free entry.
-  core::FanOutReplay replay(std::vector<std::size_t>(variables.size(), 0));
+  core::ChainReplay replay(std::vector<std::size_t>(variables.size(), 0));
+  return scan_chain(replay, chain, 0, chain.size() - 1, variables,
+                    /*restore=*/true);
+}
+
+std::vector<std::vector<double>> CheckpointStore::scan_chain(
+    core::ChainReplay& replay, std::span<const EntryInfo> entries,
+    std::size_t from, std::size_t to, const std::vector<std::string>& variables,
+    bool restore) const {
   std::vector<std::unique_ptr<io::CheckpointReader>> readers;
   util::ThreadPool& pool = util::ThreadPool::global();
-  const std::size_t target = files.size() - 1;
-  for (std::size_t w0 = 0;; w0 += kScanWindow) {
-    const std::size_t w1 = std::min(files.size(), w0 + kScanWindow);
+  for (std::size_t w0 = from;; w0 += kScanWindow) {
+    const std::size_t w1 = std::min(to + 1, w0 + kScanWindow);
     // The previous window's descriptors close before this one's open.
     readers.clear();
     readers.resize(w1 - w0);
@@ -514,16 +512,17 @@ std::vector<std::vector<double>> CheckpointStore::restore(
         [&](std::size_t, std::size_t i0, std::size_t i1) {
           for (std::size_t i = i0; i < i1; ++i) {
             readers[i - w0] = std::make_unique<io::CheckpointReader>(
-                files[i], io::TailPolicy::kStrict);
+                dir_ + "/" + entries[i].file, io::TailPolicy::kStrict);
           }
         });
     // CRC-checked reads only: decode is the structural check, so each
     // record is parsed once.
-    const auto load = [&](std::size_t v, std::size_t i, auto& out) {
-      out.push_back(readers[i - w0]->read(variables[v], 0));
+    const auto load = [&](std::size_t v, std::size_t i) {
+      return readers[i - w0]->read(variables[v], 0);
     };
-    if (w1 == files.size()) return replay.restore(target, load);
+    if (w1 > to && restore) return replay.restore(to, load);
     replay.replay_to(w1 - 1, load);
+    if (w1 > to) return {};
   }
 }
 

@@ -172,12 +172,12 @@ class CheckpointStore {
   /// Reconstructs every variable at a retained iteration, replaying the
   /// entry's delta chain from its nearest reference-free predecessor, as of
   /// the last completed manifest publish. The store lock is held only to
-  /// snapshot the chain's file names and pin them, and again to unpin; it
+  /// snapshot the chain's entries and pin them, and again to unpin; it
   /// is never held across a writer's I/O, and get never takes the writer
   /// lock, so a restore never waits on a put, prune or compaction, nor they
   /// on it. The containers are opened and scanned kScanWindow at a time
   /// across the global pool and the variables replayed there in parallel
-  /// (core::FanOutReplay). A file a concurrent prune or compaction dooms
+  /// (core::ChainReplay). A file a concurrent prune or compaction dooms
   /// stays on disk until the last in-flight restore unpins, whatever it
   /// throws.
   [[nodiscard]] std::map<std::string, std::vector<double>> get(
@@ -201,10 +201,11 @@ class CheckpointStore {
   /// (bit-exact), and files are unlinked only after the shrunken manifest is
   /// durable — a crash at any instruction leaves no manifest entry naming a
   /// missing file. Tiers other than kBest are recomputed by this sweep.
-  /// Replays and rewrites run on a snapshot under the writer lock only:
-  /// restores keep reading the old chain until the publish, and a file it
-  /// dooms that an in-flight restore pinned is unlinked when that restore
-  /// unpins.
+  /// Each broken chain replays once, its rewrites ascending targets of one
+  /// core::ChainReplay, through the same windowed scan as get(). Replays
+  /// and rewrites run on a snapshot under the writer lock only: restores
+  /// keep reading the old chain until the publish, and a file it dooms that
+  /// an in-flight restore pinned is unlinked when that restore unpins.
   PruneReport prune(std::size_t keep_last, std::size_t keep_every)
       EXCLUDES(wmu_, mu_);
 
@@ -214,8 +215,9 @@ class CheckpointStore {
 
   /// One synchronous compaction step: merges the oldest eligible delta-chain
   /// entry (kEpoch/kBest, or matching epoch_every) into a standalone
-  /// reference-free container and swaps it in with a manifest publish.
-  /// Returns false when nothing is eligible. The background compactor calls
+  /// reference-free container (replayed through get()'s windowed scan) and
+  /// swaps it in with a manifest publish. Returns false when nothing is
+  /// eligible. The background compactor calls
   /// exactly this, so tools can drain compaction work deterministically.
   bool compact_once() EXCLUDES(wmu_, mu_);
 
@@ -258,14 +260,8 @@ class CheckpointStore {
   void write_container(const std::string& file, double sim_time,
                        std::span<const core::CompressedStep* const> steps) const
       REQUIRES(wmu_);
-  /// Replays every store variable to `entries[index]` from its chain start,
-  /// continuing where `replay` stands when it is on that chain. `entries`
-  /// is the writer's snapshot, so none of its files can be unlinked.
-  void replay_chain(core::ChainReplay& replay,
-                    std::span<const EntryInfo> entries, std::size_t index) const
-      REQUIRES(wmu_);
-  /// Writes `entry`, replayed over every store variable in `replayed`, as a
-  /// standalone reference-free container; returns the updated entry.
+  /// Writes `entry` standalone and reference-free from the states
+  /// `replayed` reached; returns the updated entry.
   [[nodiscard]] EntryInfo write_standalone(
       const EntryInfo& entry, const core::ChainReplay& replayed) const
       REQUIRES(wmu_);
@@ -278,7 +274,7 @@ class CheckpointStore {
   /// Snapshots the chain of `iteration`, its reference-free start first,
   /// and pins it: until unpin(), prune and compaction queue the files they
   /// doom instead of unlinking them.
-  [[nodiscard]] std::vector<std::string> pin_chain(std::size_t iteration) const
+  [[nodiscard]] std::vector<EntryInfo> pin_chain(std::size_t iteration) const
       EXCLUDES(mu_);
   /// Drops one pin; the last one out unlinks the queued files.
   void unpin() const noexcept EXCLUDES(mu_);
@@ -286,6 +282,16 @@ class CheckpointStore {
   [[nodiscard]] std::vector<std::vector<double>> restore(
       std::size_t iteration, const std::vector<std::string>& variables) const
       EXCLUDES(mu_);
+  /// The store's one replay, for restores, prune and compaction: brings
+  /// `replay` over `variables` from position `from` to `to`, position p
+  /// being the container of `entries[p]` (a pinned chain or a writer's
+  /// snapshot). It opens kScanWindow containers at a time across the pool,
+  /// closing each window before the next, and replays to each window's last
+  /// position; `restore` ends in ChainReplay::restore, returning the states.
+  std::vector<std::vector<double>> scan_chain(
+      core::ChainReplay& replay, std::span<const EntryInfo> entries,
+      std::size_t from, std::size_t to,
+      const std::vector<std::string>& variables, bool restore) const;
   void compactor_loop();
 
   std::string dir_;

@@ -20,6 +20,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -82,7 +83,9 @@ class ThreadPool {
   /// that a running thread has claimed, so a chunk may itself call
   /// fork_join on this pool. When chunks throw, the exception of the lowest
   /// chunk index is rethrown, after every chunk has finished. After
-  /// shutdown has begun the caller runs every chunk itself.
+  /// shutdown has begun, or in a child forked after the pool was built
+  /// (which has no workers, and whose lock and condition variable may still
+  /// record them), the caller runs every chunk itself.
   void fork_join(std::size_t chunks, ChunkFn run, void* ctx) EXCLUDES(mu_);
 
   /// Process-wide pool sized to hardware concurrency. Never destroyed before
@@ -97,6 +100,7 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
   std::vector<std::thread> workers_;
   bool stopping_ GUARDED_BY(mu_) = false;
+  std::uint32_t forks_ = 0;  ///< fork count when the workers started
 };
 
 }  // namespace numarck::util

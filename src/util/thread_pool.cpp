@@ -1,5 +1,7 @@
 #include "numarck/util/thread_pool.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -73,9 +75,18 @@ class ForkJoinJob {
   std::uint32_t err_chunk_ GUARDED_BY(err_mu_) = 0;
 };
 
+/// Bumped in the child of every fork(): fork copies only the calling
+/// thread, so a pool built before it has no workers there.
+std::atomic<std::uint32_t> g_forks{0};
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
+  static const int atfork = ::pthread_atfork(nullptr, nullptr, [] {
+    g_forks.fetch_add(1, std::memory_order_relaxed);
+  });
+  NUMARCK_EXPECT(atfork == 0, "ThreadPool: pthread_atfork failed");
+  forks_ = g_forks.load(std::memory_order_relaxed);
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
@@ -119,7 +130,7 @@ void ThreadPool::fork_join(std::size_t chunks, ChunkFn run, void* ctx) {
   auto* job = new ForkJoinJob(chunks, run, ctx);
   const std::size_t want = std::min(size(), chunks - 1);
   std::size_t posted = 0;
-  {
+  if (forks_ == g_forks.load(std::memory_order_relaxed)) {
     MutexLock lk(mu_);
     if (!stopping_) {
       try {

@@ -140,7 +140,9 @@ TEST(CodecRoundTrip, SpatialCodecsMeetBoundOnFlashFixture) {
       const auto res = c.encode(snap, {}, {}, opts);
       const auto back = c.decode(res.payload, {}, {}, snap.size());
       expect_within_bound(snap, back, opts.error_bound);
-      EXPECT_EQ(c.validate_payload(res.payload), snap.size());
+      EXPECT_EQ(c.validate_payload(res.payload, snap.size()), snap.size());
+      EXPECT_THROW((void)c.validate_payload(res.payload, snap.size() - 1),
+                   numarck::ContractViolation);
     }
   }
 }

@@ -307,16 +307,37 @@ std::vector<double> replayed(
   return rec.state();
 }
 
+/// A loader over records[position][variable] that logs, per variable, the
+/// positions it loaded (each variable's log is touched only by the thread
+/// replaying that variable).
+struct LoggingLoader {
+  const std::vector<std::vector<nk::CompressedStep>>& records;
+  std::vector<std::vector<std::size_t>> loaded;
+
+  nk::ChainReplay::Loader loader() {
+    return [this](std::size_t v, std::size_t i) {
+      loaded.at(v).push_back(i);
+      return records.at(i).at(v);
+    };
+  }
+  void clear() {
+    for (auto& log : loaded) log.clear();
+  }
+};
+
 }  // namespace
 
-TEST(ChainReplay, ContinuesAlongOneChainAndRestartsOtherwise) {
+TEST(ChainReplay, AscendingTargetsLoadOnlyTheNewRecords) {
   const auto records = two_variable_stream(10, 6);
-  std::vector<std::size_t> loaded;
-  const nk::ChainReplay::RecordLoader load = [&](std::size_t i, auto& out) {
-    loaded.push_back(i);
-    out = records[i];
+  LoggingLoader log{records, {{}, {}}};
+  const auto load = log.loader();
+  nk::ChainReplay replay({0, 0});
+  const auto expect_loaded = [&](const std::vector<std::size_t>& want) {
+    for (std::size_t v = 0; v < 2; ++v) {
+      EXPECT_EQ(log.loaded[v], want) << "variable " << v;
+    }
+    log.clear();
   };
-  nk::ChainReplay replay(2);
   const auto expect_state = [&](std::size_t start, std::size_t target) {
     for (std::size_t v = 0; v < 2; ++v) {
       EXPECT_EQ(replay.state(v), replayed(records, start, target, v))
@@ -324,51 +345,93 @@ TEST(ChainReplay, ContinuesAlongOneChainAndRestartsOtherwise) {
     }
   };
 
-  replay.replay_to(0, 3, load);
-  EXPECT_EQ(loaded, (std::vector<std::size_t>{0, 1, 2, 3}));
+  replay.replay_to(3, load);
+  expect_loaded({0, 1, 2, 3});
   expect_state(0, 3);
-  // Same chain, later target: only the new records are decoded.
-  loaded.clear();
-  replay.replay_to(0, 5, load);
-  EXPECT_EQ(loaded, (std::vector<std::size_t>{4, 5}));
+  // A later target: only the new records are decoded.
+  replay.replay_to(5, load);
+  expect_loaded({4, 5});
   expect_state(0, 5);
-  // Same target again: nothing to decode.
-  loaded.clear();
-  replay.replay_to(0, 5, load);
-  EXPECT_TRUE(loaded.empty());
-  // An earlier target restarts the chain.
-  replay.replay_to(0, 1, load);
-  EXPECT_EQ(loaded, (std::vector<std::size_t>{0, 1}));
+  // The same target again: nothing to decode.
+  replay.replay_to(5, load);
+  expect_loaded({});
+  // The restore continues across the rebase at 6 and moves the states out.
+  const auto states = replay.restore(8, load);
+  expect_loaded({6, 7, 8});
+  ASSERT_EQ(states.size(), 2u);
+  for (std::size_t v = 0; v < 2; ++v) {
+    EXPECT_EQ(states[v], replayed(records, 6, 8, v)) << "variable " << v;
+  }
+  // After a restore the next call starts over.
+  replay.replay_to(1, load);
+  expect_loaded({0, 1});
   expect_state(0, 1);
-  // Another chain restarts at its own start.
-  loaded.clear();
-  replay.replay_to(6, 8, load);
-  EXPECT_EQ(loaded, (std::vector<std::size_t>{6, 7, 8}));
-  expect_state(6, 8);
+}
+
+TEST(ChainReplay, EachVariableReplaysFromItsOwnStart) {
+  // Variable 0 starts at its full record at 0; variable 1 at a spatial
+  // (isabela) record at 2 followed by numarck deltas.
+  namespace nc = numarck::codec;
+  auto records = two_variable_stream(6, 6);
+  nk::Options opts;
+  opts.error_bound = 0.001;
+  const auto snap1 = [](std::size_t i) {
+    return evolving_snapshot(256, static_cast<double>(i) + 0.7);
+  };
+  records[2][1] = nc::require(nc::kIsabelaId).encode(snap1(2), {}, {}, opts);
+  for (std::size_t i = 3; i < records.size(); ++i) {
+    records[i][1] =
+        nc::require(nc::kNumarckId).encode(snap1(i), snap1(i - 1), {}, opts);
+  }
+  ASSERT_TRUE(nk::starts_chain(records[2][1].is_full, records[2][1].codec_id));
+  ASSERT_FALSE(nk::starts_chain(records[3][1].is_full, records[3][1].codec_id));
+
+  LoggingLoader log{records, {{}, {}}};
+  nk::ChainReplay replay({0, 2});
+  replay.replay_to(3, log.loader());
+  EXPECT_EQ(log.loaded[0], (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(log.loaded[1], (std::vector<std::size_t>{2, 3}));
+  EXPECT_EQ(replay.state(0), replayed(records, 0, 3, 0));
+  EXPECT_EQ(replay.state(1), replayed(records, 2, 3, 1));
+  log.clear();
+  const auto states = replay.restore(5, log.loader());
+  EXPECT_EQ(log.loaded[0], (std::vector<std::size_t>{4, 5}));
+  EXPECT_EQ(log.loaded[1], (std::vector<std::size_t>{4, 5}));
+  EXPECT_EQ(states[0], replayed(records, 0, 5, 0));
+  EXPECT_EQ(states[1], replayed(records, 2, 5, 1));
+  // A target before a variable's start throws.
+  EXPECT_THROW(nk::ChainReplay({0, 2}).replay_to(1, log.loader()),
+               numarck::ContractViolation);
 }
 
 TEST(ChainReplay, AThrowResetsTheReplay) {
   const auto records = two_variable_stream(6, 6);
   bool fail = true;
-  std::vector<std::size_t> loaded;
-  const nk::ChainReplay::RecordLoader load = [&](std::size_t i, auto& out) {
-    if (fail && i == 3) throw numarck::ContractViolation("injected load failure");
-    loaded.push_back(i);
-    out = records[i];
+  std::vector<std::vector<std::size_t>> loaded(2);
+  const nk::ChainReplay::Loader load = [&](std::size_t v, std::size_t i) {
+    if (fail && v == 1 && i == 3) {
+      throw numarck::ContractViolation("injected load failure");
+    }
+    loaded[v].push_back(i);
+    return records[i][v];
   };
-  nk::ChainReplay replay(2);
-  EXPECT_THROW(replay.replay_to(0, 4, load), numarck::ContractViolation);
+  nk::ChainReplay replay({0, 0});
+  EXPECT_THROW(replay.replay_to(4, load), numarck::ContractViolation);
+  // Every variable starts over, the one that got further included.
   fail = false;
-  loaded.clear();
-  replay.replay_to(0, 4, load);
-  EXPECT_EQ(loaded, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(replay.state(1), replayed(records, 0, 4, 1));
-  // A delta cannot start a chain, and the loader must supply every variable.
-  EXPECT_THROW(replay.replay_to(2, 4, load), numarck::ContractViolation);
-  EXPECT_THROW(replay.replay_to(0, 0,
-                                [&](std::size_t i, auto& out) {
-                                  out.push_back(records[i][0]);
-                                }),
+  loaded = {{}, {}};
+  replay.replay_to(4, load);
+  for (std::size_t v = 0; v < 2; ++v) {
+    EXPECT_EQ(loaded[v], (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(replay.state(v), replayed(records, 0, 4, v));
+  }
+  // So does an earlier target, which throws.
+  EXPECT_THROW(replay.replay_to(3, load), numarck::ContractViolation);
+  loaded = {{}, {}};
+  replay.replay_to(4, load);
+  EXPECT_EQ(loaded[1], (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  // A delta cannot start a chain.
+  EXPECT_THROW(nk::ChainReplay({0, 2}).replay_to(4, load),
                numarck::ContractViolation);
 }
 

@@ -620,12 +620,17 @@ TEST(Store, GetsRacePutsPrunesAndTheCompactor) {
     }
   });
   for (std::size_t i = 0; i < kIterations; ++i) {
+    if (i + 4 == kIterations) {
+      // A prune after the last put would rewrite every epoch delta
+      // standalone and leave the compactor nothing to merge, so the pruner
+      // stops before the last four puts.
+      writing = false;
+      pruner.join();
+    }
     s.put(i, static_cast<double>(i), stream.steps[i]);
     acked = i + 1;
     if (i % 8 == 7) (void)s.prune(2, kEvery);
   }
-  writing = false;
-  pruner.join();
   // The last puts left epoch deltas behind the newest entry: the readers
   // keep racing until the compactor has merged at least one.
   const auto deadline =
@@ -854,7 +859,9 @@ TEST(Store, GetOnAChainDeeperThanTheScanWindow) {
   // One delta chain three and a half scan windows deep, the target ending
   // mid-window: every variable continues its replay across the windows,
   // and a restore holds at most one window of containers open, so it also
-  // succeeds under a descriptor limit below the chain depth.
+  // succeeds under a descriptor limit below the chain depth. Prune and
+  // compaction rewrites replay through the same windowed scan, so they
+  // hold under that limit too.
   StoreDir t("deep");
   const std::vector<std::string> vars = {"dens", "pres"};
   constexpr std::size_t kWindow = ns::CheckpointStore::kScanWindow;
@@ -893,6 +900,10 @@ TEST(Store, GetOnAChainDeeperThanTheScanWindow) {
              fs::directory_iterator("/proc/self/fd")) {
           ++open_fds;
         }
+        // An entry more than two windows deep, pinned so that prune keeps
+        // it and must rewrite it standalone from one replay of its chain.
+        constexpr std::size_t kPinned = 2 * kWindow + 5;
+        s.promote(kPinned, ns::Tier::kBest);
         rlimit lim{};
         bool ok = ::getrlimit(RLIMIT_NOFILE, &lim) == 0;
         lim.rlim_cur = open_fds + kWindow + 8;
@@ -901,10 +912,24 @@ TEST(Store, GetOnAChainDeeperThanTheScanWindow) {
           ok = ok && same_bits(s.get(target), stream.expected[target]) &&
                same_bits(s.get_variable(vars[1], target),
                          stream.expected[target].at(vars[1]));
+          // Every entry but the pin and the newest drops, so both are
+          // rewritten standalone: one replay through 3.5 windows.
+          const ns::PruneReport report = s.prune(1, 0);
+          ok = ok && report.kept == 2 && report.rewritten == 2;
+          ok = ok && s.list().front().iteration == kPinned &&
+               s.list().front().file.ends_with(".epoch.nck");
+          // prune left every entry reference-free: nothing to compact.
+          ok = ok && !s.compact_once();
+          ok = ok && same_bits(s.get(kPinned), stream.expected[kPinned]) &&
+               same_bits(s.get(target), stream.expected[target]);
         } catch (const std::exception& e) {
           std::fprintf(stderr, "restore failed: %s\n", e.what());
           ok = false;
         }
+        // _Exit skips destructors: the re-executed child removes its own
+        // store directory.
+        std::error_code ec;
+        fs::remove_all(t.dir, ec);
         std::_Exit(ok ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "");
@@ -1483,6 +1508,9 @@ TEST(ForgedRecord, DeltaPointCountBoundedByItsReference) {
     EXPECT_EQ(engine.reconstruct_variable(kVar, 0), skewed_pair().first);
     expect_rejected([&] { (void)engine.reconstruct_variable(kVar, 1); },
                     kReason);
+    // load() validates without decoding; the chain-start record bounds it.
+    EXPECT_EQ(reader.load(kVar, 0).point_count, skewed_pair().first.size());
+    expect_rejected([&] { (void)reader.load(kVar, 1); }, kReason);
   }
   StoreDir t("point_count_past_reference_store");
   ns::CheckpointStore s(t.dir, {kVar});

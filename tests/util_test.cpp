@@ -1,8 +1,12 @@
 // Unit tests for the utility layer: thread pool, parallel loops, bit
 // packing, CRC32, RNG, streaming statistics and byte serialization.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -131,6 +135,51 @@ TEST(ThreadPool, DestructorDrainsSlowTasksWithoutDropping) {
   }
   for (auto& f : futs) f.get();  // must all be satisfied, never block forever
   EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(ThreadPool, ForkJoinRunsOnTheCallerInAForkedChild) {
+  // A child forked after the workers started has none of them, and the
+  // pool's condition variable may still count a worker that was woken but
+  // had not yet returned from its wait; signalling it there blocks for
+  // good. So fork_join in such a child must run every chunk on the caller.
+  // Each fork follows a fork_join at once, while its helpers are waking.
+  nu::ThreadPool pool(4);
+  constexpr std::size_t kChunks = 64;
+  std::vector<int> hits(kChunks, 0);
+  const auto run = [&pool, &hits] {
+    std::fill(hits.begin(), hits.end(), 0);
+    pool.fork_join(
+        kChunks,
+        [](void* ctx, std::size_t c) {
+          ++(*static_cast<std::vector<int>*>(ctx))[c];
+        },
+        &hits);
+    return std::all_of(hits.begin(), hits.end(), [](int h) { return h == 1; });
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    ASSERT_TRUE(run());
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      bool ok = true;
+      for (int rep = 0; rep < 10; ++rep) ok = ok && run();
+      ::_exit(ok ? 0 : 1);
+    }
+    // Bounded wait: a hung child fails the test instead of hanging it.
+    int status = 0;
+    pid_t waited = 0;
+    for (int i = 0; i < 500 && (waited = ::waitpid(pid, &status, WNOHANG)) == 0;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (waited == 0) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      FAIL() << "fork_join hung in the child of fork " << trial;
+    }
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "fork " << trial;
+  }
 }
 
 // ----------------------------------------------------------- parallel_for --
