@@ -71,24 +71,6 @@ void MemorySource::read_at(std::uint64_t offset, void* out, std::size_t size) {
   if (size > 0) std::memcpy(out, data_.data() + offset, size);
 }
 
-// ----------------------------------------------------------- ErringSource --
-
-ErringSource::ErringSource(std::unique_ptr<ByteSource> inner,
-                           std::size_t after_reads, int err)
-    : inner_(std::move(inner)), after_reads_(after_reads), err_(err) {
-  NUMARCK_EXPECT(inner_ != nullptr, "ErringSource needs an inner source");
-}
-
-void ErringSource::read_at(std::uint64_t offset, void* out, std::size_t size) {
-  if (seen_.fetch_add(1, std::memory_order_relaxed) < after_reads_) {
-    inner_->read_at(offset, out, size);
-    return;
-  }
-  // Persistent, like the real condition: a failing device keeps failing.
-  NUMARCK_EXPECT(false, "checkpoint read failed (injected): " +
-                            std::string(std::strerror(err_)));
-}
-
 // --------------------------------------------------------------- read_all --
 
 std::vector<std::uint8_t> read_all(ByteSource& source) {

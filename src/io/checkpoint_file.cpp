@@ -10,6 +10,7 @@
 #include "numarck/io/framed_writer.hpp"
 #include "numarck/util/crc32.hpp"
 #include "numarck/util/expect.hpp"
+#include "numarck/util/thread_annotations.hpp"
 
 namespace numarck::io {
 
@@ -195,6 +196,22 @@ class CheckpointReader::Impl final : private ScanEvents {
     return step;
   }
 
+  /// Validated point count of the chain-start record (variable, iteration),
+  /// once load() has validated it; nullopt before that.
+  [[nodiscard]] std::optional<std::size_t> start_points(
+      const std::string& variable, std::size_t iteration) const {
+    util::MutexLock lk(memo_mu_);
+    const auto it = start_points_.find(key(variable, iteration));
+    if (it == start_points_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  void remember_start_points(const std::string& variable,
+                             std::size_t iteration, std::size_t points) const {
+    util::MutexLock lk(memo_mu_);
+    start_points_[key(variable, iteration)] = points;
+  }
+
   [[nodiscard]] double sim_time(std::size_t iteration) const {
     const auto it = times_.find(iteration);
     NUMARCK_EXPECT(it != times_.end(), "no records for requested iteration");
@@ -263,6 +280,10 @@ class CheckpointReader::Impl final : private ScanEvents {
   std::size_t iterations_ = 0;
   std::optional<ScanDamage> damage_;
   bool tail_damaged_ = false;
+  // load() runs on several threads at once; the memo is its only state.
+  mutable util::Mutex memo_mu_;
+  mutable std::map<std::string, std::size_t> start_points_
+      GUARDED_BY(memo_mu_);
 };
 
 CheckpointReader::CheckpointReader(const std::string& path, TailPolicy policy)
@@ -310,11 +331,14 @@ core::CompressedStep CheckpointReader::load(const std::string& variable,
                                             std::size_t iteration) const {
   core::CompressedStep step = read(variable, iteration);
   // A delta holds no more points than its chain-start record, validated
-  // first; with none in this container (a store entry's), the ceiling.
+  // first (once per reader: the count is memoized); with none in this
+  // container (a store entry's), the ceiling.
   std::size_t max_points = core::EncodedIteration::kDefaultMaxPointCount;
-  if (!core::starts_chain(step.is_full, step.codec_id)) {
+  const bool starts = core::starts_chain(step.is_full, step.codec_id);
+  if (!starts) {
     if (const auto start = chain_start(*this, variable, iteration)) {
-      max_points = load(variable, *start).point_count;
+      const auto known = impl_->start_points(variable, *start);
+      max_points = known ? *known : load(variable, *start).point_count;
     }
   }
   // Deep structural validation through the record's codec: every count and
@@ -322,6 +346,9 @@ core::CompressedStep CheckpointReader::load(const std::string& variable,
   // loads cleanly also decodes cleanly.
   step.point_count = codec::require(step.codec_id)
                          .validate_payload(step.payload, max_points);
+  if (starts) {
+    impl_->remember_start_points(variable, iteration, step.point_count);
+  }
   return step;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -66,86 +65,6 @@ void FileSink::close() {
                  errno_detail("checkpoint close failed", path_));
 }
 
-// ------------------------------------------------------------- FaultyFile --
-
-FaultyFile::FaultyFile(std::unique_ptr<ByteSink> inner,
-                       std::shared_ptr<CrashBudget> budget, CrashMode mode)
-    : inner_(std::move(inner)), budget_(std::move(budget)), mode_(mode) {
-  NUMARCK_EXPECT(inner_ != nullptr, "FaultyFile needs an inner sink");
-  NUMARCK_EXPECT(budget_ != nullptr, "FaultyFile needs a crash budget");
-}
-
-void FaultyFile::die() {
-  dead_ = true;
-  if (mode_ == CrashMode::kSigkill) {
-    // The real thing: no unwinding, no flush, no destructors — the kernel
-    // reclaims the process with whatever bytes already hit the file.
-    (void)::raise(SIGKILL);
-  }
-  throw InjectedCrash("injected crash: write budget exhausted");
-}
-
-void FaultyFile::write(const void* data, std::size_t size) {
-  if (dead_) return;
-  const auto want = static_cast<std::int64_t>(size);
-  const std::int64_t before =
-      budget_->remaining.fetch_sub(want, std::memory_order_relaxed);
-  if (before >= want) {
-    inner_->write(data, size);
-    return;
-  }
-  // This write crosses the budget: land a byte-exact torn prefix, then die.
-  const std::size_t partial =
-      static_cast<std::size_t>(std::max<std::int64_t>(before, 0));
-  if (partial > 0) inner_->write(data, partial);
-  die();
-}
-
-void FaultyFile::sync() {
-  if (dead_) return;
-  inner_->sync();
-}
-
-void FaultyFile::close() {
-  if (dead_) return;
-  inner_->close();
-}
-
-// ------------------------------------------------------------- ErringFile --
-
-ErringFile::ErringFile(std::unique_ptr<ByteSink> inner, Op fail_op,
-                       std::size_t after_ops, int err)
-    : inner_(std::move(inner)), fail_op_(fail_op), after_ops_(after_ops),
-      err_(err) {
-  NUMARCK_EXPECT(inner_ != nullptr, "ErringFile needs an inner sink");
-}
-
-void ErringFile::fail_if_scheduled(Op op, const char* what) {
-  if (op != fail_op_) return;
-  if (seen_ < after_ops_) {
-    ++seen_;
-    return;
-  }
-  // Persistent, like the real condition: a disk that filled up stays full.
-  NUMARCK_EXPECT(false, std::string(what) + " failed (injected): " +
-                            std::strerror(err_));
-}
-
-void ErringFile::write(const void* data, std::size_t size) {
-  fail_if_scheduled(Op::kWrite, "checkpoint write");
-  inner_->write(data, size);
-}
-
-void ErringFile::sync() {
-  fail_if_scheduled(Op::kSync, "fsync");
-  inner_->sync();
-}
-
-void ErringFile::close() {
-  fail_if_scheduled(Op::kClose, "checkpoint close");
-  inner_->close();
-}
-
 // ---------------------------------------------------------------- publish --
 
 void publish_via_tmp(
@@ -165,15 +84,15 @@ void publish_via_tmp(
   const std::string dir =
       slash == std::string::npos ? "." : path.substr(0, slash + 1);
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    // Some filesystems refuse directory fsync (EINVAL); the rename is still
-    // atomic on crash-consistent filesystems, so tolerate that one case.
-    const int rc = ::fsync(dfd);
-    const int saved = errno;
-    (void)::close(dfd);
-    NUMARCK_EXPECT(rc == 0 || saved == EINVAL,
-                   errno_detail("directory fsync failed", dir));
-  }
+  NUMARCK_EXPECT(dfd >= 0, errno_detail("cannot open directory to fsync", dir));
+  // Some filesystems refuse directory fsync (EINVAL); the rename is still
+  // atomic on crash-consistent filesystems, so tolerate that one case.
+  const int rc = ::fsync(dfd);
+  const int saved = errno;
+  (void)::close(dfd);
+  errno = saved;
+  NUMARCK_EXPECT(rc == 0 || saved == EINVAL,
+                 errno_detail("directory fsync failed", dir));
 }
 
 // --------------------------------------------------------------- envelope --

@@ -12,8 +12,8 @@ namespace {
 // Records up to this payload size are coalesced (header + payload + CRC)
 // into one pooled buffer and hit the sink as a single write; larger payloads
 // are written in place to avoid copying bulk data through the pool. The cut
-// only changes syscall granularity, never the byte stream — FaultyFile's
-// crash budget is byte-based, so torn-write tests see identical prefixes.
+// only changes syscall granularity, never the byte stream — a FaultPlan's
+// crash point is byte-based, so torn-write tests see identical prefixes.
 constexpr std::size_t kCoalesceLimit = 64u << 10;
 
 template <typename T>

@@ -9,7 +9,6 @@
 // read, I/O error); none fail silently, matching the sink-side discipline.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -95,34 +94,6 @@ class MemorySource final : public ByteSource {
  private:
   std::span<const std::uint8_t> data_;
   std::string name_;
-};
-
-/// Error-injection source, the read-side dual of ErringFile: forwards reads
-/// to `inner` until the scheduled one, then fails it — and every later read —
-/// with ContractViolation carrying the errno text, exactly as FileSource
-/// surfaces a real EIO. Models a disk that goes bad between the scan and a
-/// payload load; restart paths must surface the failure, never fabricate
-/// data.
-class ErringSource final : public ByteSource {
- public:
-  /// Fails the (`after_reads`+1)-th read_at — and all later ones — as if the
-  /// pread returned `err` (e.g. EIO). size() and name() always pass through.
-  ErringSource(std::unique_ptr<ByteSource> inner, std::size_t after_reads,
-               int err);
-
-  [[nodiscard]] std::uint64_t size() const noexcept override {
-    return inner_->size();
-  }
-  void read_at(std::uint64_t offset, void* out, std::size_t size) override;
-  [[nodiscard]] const std::string& name() const noexcept override {
-    return inner_->name();
-  }
-
- private:
-  std::unique_ptr<ByteSource> inner_;
-  std::size_t after_reads_;
-  std::atomic<std::size_t> seen_{0};  ///< reads may come from several threads
-  int err_;
 };
 
 /// Slurps an entire source into a fresh vector — the one sanctioned place

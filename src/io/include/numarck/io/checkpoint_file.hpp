@@ -46,7 +46,7 @@ class CheckpointWriter {
                    Durability durability = Durability::kFsyncOnClose);
 
   /// Writes through an explicit sink — the crash-injection harness wraps a
-  /// FileSink in a FaultyFile here to tear writes at exact byte offsets.
+  /// FileSink in an io::FaultySink here to tear writes at exact byte offsets.
   CheckpointWriter(std::unique_ptr<ByteSink> sink,
                    const std::vector<std::string>& variables,
                    Durability durability = Durability::kNone);

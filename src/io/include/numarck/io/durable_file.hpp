@@ -1,12 +1,10 @@
 // The durability layer under the checkpoint container: unbuffered
 // descriptor-backed sinks whose every failure is surfaced (a full disk or a
 // dying device must never look like a successful checkpoint), fsync policies
-// the writer can choose per deployment, and a crash-injection sink that
-// tears writes at an exact byte offset — the primitive the crash-resilience
-// harness (tools/numarck-crashtest) is built on.
+// the writer can choose per deployment, and the one tmp+rename publish.
+// Injected faults wrap these sinks from io/fault.hpp.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -71,86 +69,15 @@ class FileSink final : public ByteSink {
   int fd_ = -1;
 };
 
-/// Thrown by FaultyFile (kThrow mode) at the scheduled crash point. Derives
-/// from std::runtime_error, NOT ContractViolation: an injected crash is not
-/// a contract bug, and harnesses must be able to tell the two apart.
+/// Thrown at an io::FaultPlan's crash point (Death::kThrow, io/fault.hpp).
+/// Derives from std::runtime_error, NOT ContractViolation: an injected crash
+/// is not a contract bug, and harnesses must be able to tell the two apart.
 class InjectedCrash : public std::runtime_error {
  public:
   explicit InjectedCrash(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Byte budget shared by every sink of one simulated process: the "process"
-/// dies when the total bytes written across all its files crosses the
-/// budget, exactly as a killed writer tears whichever file it happened to be
-/// writing.
-struct CrashBudget {
-  explicit CrashBudget(std::uint64_t bytes)
-      : remaining(static_cast<std::int64_t>(bytes)) {}
-  std::atomic<std::int64_t> remaining;
-};
-
-/// Crash-injection sink: forwards bytes to `inner` until the shared budget
-/// is exhausted; the write that crosses the budget is truncated to the
-/// remaining bytes (a torn record, byte-exact) and then the "process" dies —
-/// either by raising SIGKILL (fork-based trials: the real signal, the real
-/// kernel cleanup path) or by throwing InjectedCrash (deterministic
-/// in-process trials). After the crash point every further operation is
-/// silently dropped, as a dead process writes nothing more.
-class FaultyFile final : public ByteSink {
- public:
-  enum class CrashMode : std::uint8_t {
-    kThrow = 0,    ///< throw InjectedCrash at the crash point
-    kSigkill = 1,  ///< raise(SIGKILL): for forked writer children
-  };
-
-  FaultyFile(std::unique_ptr<ByteSink> inner,
-             std::shared_ptr<CrashBudget> budget, CrashMode mode);
-
-  void write(const void* data, std::size_t size) override;
-  void sync() override;
-  void close() override;
-
- private:
-  [[noreturn]] void die();
-
-  std::unique_ptr<ByteSink> inner_;
-  std::shared_ptr<CrashBudget> budget_;
-  CrashMode mode_;
-  bool dead_ = false;
-};
-
-/// Error-injection sink: forwards operations to `inner` until the scheduled
-/// one, then fails it — and every later call of the same operation — with
-/// ContractViolation carrying the errno text, exactly as FileSink surfaces a
-/// real ENOSPC or EIO. Where FaultyFile models a process that dies mid-write,
-/// ErringFile models a disk that lives on but errors: callers must surface
-/// the failure (a failed append can never masquerade as an acknowledged
-/// checkpoint) and leave the file reopenable.
-class ErringFile final : public ByteSink {
- public:
-  enum class Op : std::uint8_t { kWrite = 0, kSync = 1, kClose = 2 };
-
-  /// Fails the (`after_ops`+1)-th call of `fail_op` — and all later calls of
-  /// it — as if the syscall returned `err` (e.g. ENOSPC, EIO). Calls before
-  /// the scheduled one, and every other operation, pass through to `inner`.
-  ErringFile(std::unique_ptr<ByteSink> inner, Op fail_op,
-             std::size_t after_ops, int err);
-
-  void write(const void* data, std::size_t size) override;
-  void sync() override;
-  void close() override;
-
- private:
-  void fail_if_scheduled(Op op, const char* what);
-
-  std::unique_ptr<ByteSink> inner_;
-  Op fail_op_;
-  std::size_t after_ops_;
-  std::size_t seen_ = 0;
-  int err_;
-};
-
-/// Makes the sink a publish writes through (fault harnesses wrap FileSink
+/// Makes the sink a publish writes through (io::faulty_files wraps FileSink
 /// here); empty = plain FileSink.
 using SinkFactory =
     std::function<std::unique_ptr<ByteSink>(const std::string& path)>;
@@ -159,7 +86,9 @@ using SinkFactory =
 /// `make_sink`, syncing as its durability requires and closing it; the tmp
 /// is then renamed over `path` and the parent directory fsynced, so readers
 /// see the old file or the complete new one. If `write` throws, the tmp is
-/// removed before the error propagates.
+/// removed before the error propagates. A parent directory that cannot be
+/// opened for its fsync throws: the rename is then not known to be durable,
+/// so the publish is not acknowledged.
 void publish_via_tmp(const std::string& path, const SinkFactory& make_sink,
                      const std::function<void(std::unique_ptr<ByteSink>)>& write);
 

@@ -2,18 +2,23 @@
 // payload reads must surface as exceptions — a failed write can never
 // masquerade as an acknowledged checkpoint, a failed read never as restored
 // state — and must leave the container / store directory reopenable
-// afterwards. ErringFile (io/durable_file.hpp) and its read-side dual
-// ErringSource (io/byte_source.hpp) model the disk that lives on but
-// errors, complementing the FaultyFile process-death model the crashtest
-// campaigns use.
+// afterwards. An io::FaultPlan scheduling an errno (io/fault.hpp), through
+// FaultySink and FaultySource, models the disk that lives on but errors;
+// the crashtest campaigns use the same plan's crash point to model a
+// process that dies. A parent directory that cannot be opened for the
+// publish's fsync must fail the publish too.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <cstddef>
+#include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,6 +29,7 @@
 #include "numarck/io/checkpoint_file.hpp"
 #include "numarck/io/distributed_checkpoint.hpp"
 #include "numarck/io/durable_file.hpp"
+#include "numarck/io/fault.hpp"
 #include "numarck/store/checkpoint_store.hpp"
 #include "numarck/util/expect.hpp"
 
@@ -58,18 +64,60 @@ nk::CompressedStep full_step(double t) {
   return nk::CompressedStep::full_from(snap(48, t));
 }
 
-/// Store options whose container/manifest sinks fail the (`after`+1)-th call
-/// of `op` with `err`, persistently — the ErringFile disk model.
-ns::StoreOptions erring_options(nio::ErringFile::Op op, std::size_t after,
-                                int err) {
-  ns::StoreOptions opts;
-  opts.sink_factory = [op, after,
-                       err](const std::string& path)
-      -> std::unique_ptr<nio::ByteSink> {
-    return std::make_unique<nio::ErringFile>(
-        std::make_unique<nio::FileSink>(path), op, after, err);
-  };
-  return opts;
+using Op = nio::FaultPlan::Op;
+
+/// A plan failing the (`after`+1)-th `op` with `err`, persistently.
+std::shared_ptr<nio::FaultPlan> failing(Op op, std::size_t after, int err) {
+  auto plan = std::make_shared<nio::FaultPlan>();
+  plan->fail(op, after, err);
+  return plan;
+}
+
+/// `path` opened through a FileSink that fails as `failing` schedules.
+std::unique_ptr<nio::ByteSink> failing_file(const std::string& path, Op op,
+                                            std::size_t after, int err) {
+  return std::make_unique<nio::FaultySink>(
+      std::make_unique<nio::FileSink>(path), failing(op, after, err));
+}
+
+constexpr ::uid_t kNobody = 65534;
+constexpr int kCannotDrop = 77;
+
+/// Runs `checks` in a death-test child that owns `dir` but cannot bypass
+/// its permission bits: under root the child drops to uid 65534, which
+/// `dir` is chowned to. The child re-executes the test binary, as a forked
+/// copy of this process would inherit the pool's locks but not its
+/// threads. Returns false (the caller skips) only when root cannot drop to
+/// that uid.
+bool run_unprivileged(const std::string& dir,
+                      const std::function<bool()>& checks) {
+  fs::create_directories(dir);
+  if (::geteuid() == 0) {
+    EXPECT_EQ(::chown(dir.c_str(), kNobody, kNobody), 0);
+  }
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+#endif
+  int code = -1;
+  EXPECT_EXIT(
+      {
+        if (::geteuid() == 0 &&
+            (::setgid(kNobody) != 0 || ::setuid(kNobody) != 0)) {
+          std::_Exit(kCannotDrop);
+        }
+        const bool ok = checks();
+        // Readable again, so that an unprivileged parent can remove it.
+        (void)::chmod(dir.c_str(), 0700);
+        std::_Exit(ok ? 0 : 1);
+      },
+      [&code](int status) {
+        code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+        return code == 0 || code == kCannotDrop;
+      },
+      "");
+  return code != kCannotDrop;
 }
 
 }  // namespace
@@ -79,9 +127,7 @@ ns::StoreOptions erring_options(nio::ErringFile::Op op, std::size_t after,
 TEST(DurabilityErrors, AppendSurfacesEnospc) {
   TempPath t("append");
   nio::CheckpointWriter writer(
-      std::make_unique<nio::ErringFile>(std::make_unique<nio::FileSink>(t.path),
-                                        nio::ErringFile::Op::kWrite,
-                                        /*after_ops=*/2, ENOSPC),
+      failing_file(t.path, Op::kWrite, /*after=*/2, ENOSPC),
       {kVar}, nio::Durability::kNone);
   try {
     // Header writes may already exhaust the budget; either append throws.
@@ -97,9 +143,7 @@ TEST(DurabilityErrors, AppendSurfacesEnospc) {
 TEST(DurabilityErrors, FsyncFailureSurfacesOnClose) {
   TempPath t("fsync");
   nio::CheckpointWriter writer(
-      std::make_unique<nio::ErringFile>(std::make_unique<nio::FileSink>(t.path),
-                                        nio::ErringFile::Op::kSync,
-                                        /*after_ops=*/0, EIO),
+      failing_file(t.path, Op::kSync, /*after=*/0, EIO),
       {kVar}, nio::Durability::kFsyncOnClose);
   writer.append(kVar, 0, 0.0, full_step(0.0));
   try {
@@ -115,9 +159,7 @@ TEST(DurabilityErrors, FsyncFailureSurfacesOnClose) {
 TEST(DurabilityErrors, CloseFailureSurfaces) {
   TempPath t("close");
   nio::CheckpointWriter writer(
-      std::make_unique<nio::ErringFile>(std::make_unique<nio::FileSink>(t.path),
-                                        nio::ErringFile::Op::kClose,
-                                        /*after_ops=*/0, EIO),
+      failing_file(t.path, Op::kClose, /*after=*/0, EIO),
       {kVar}, nio::Durability::kNone);
   writer.append(kVar, 0, 0.0, full_step(0.0));
   EXPECT_THROW(writer.close(), numarck::ContractViolation);
@@ -133,12 +175,12 @@ TEST(DurabilityErrors, StorePutEnospcIsNeverASilentAck) {
   // file fails its first write — so some put() mid-campaign hits ENOSPC.
   ns::StoreOptions opts;
   auto files = std::make_shared<std::atomic<std::size_t>>(0);
-  opts.sink_factory =
-      [files](const std::string& path) -> std::unique_ptr<nio::ByteSink> {
+  const auto full_disk = failing(Op::kWrite, 0, ENOSPC);
+  opts.sink_factory = [files, full_disk](const std::string& path)
+      -> std::unique_ptr<nio::ByteSink> {
     auto inner = std::make_unique<nio::FileSink>(path);
     if (files->fetch_add(1) < 4) return inner;
-    return std::make_unique<nio::ErringFile>(
-        std::move(inner), nio::ErringFile::Op::kWrite, 0, ENOSPC);
+    return std::make_unique<nio::FaultySink>(std::move(inner), full_disk);
   };
   {
     ns::CheckpointStore s(t.path, opts);
@@ -188,9 +230,9 @@ TEST(DurabilityErrors, ManifestPublishFailureRollsBackTheAck) {
   // the default durability, so its sync fails first) and no put is ever
   // acknowledged.
   {
-    ns::CheckpointStore s(t.path,
-                          erring_options(nio::ErringFile::Op::kSync,
-                                         /*after_ops=*/0, EIO));
+    ns::StoreOptions opts;
+    opts.sink_factory = nio::faulty_files(failing(Op::kSync, 0, EIO));
+    ns::CheckpointStore s(t.path, opts);
     std::map<std::string, nk::CompressedStep> steps;
     steps.emplace(kVar, full_step(0.0));
     EXPECT_THROW(s.put(0, 0.0, steps), numarck::ContractViolation);
@@ -206,6 +248,49 @@ TEST(DurabilityErrors, ManifestPublishFailureRollsBackTheAck) {
   steps.emplace(kVar, full_step(7.0));
   reopened.put(7, 7.0, steps);
   EXPECT_EQ(reopened.get_variable(kVar, 7), snap(48, 7.0));
+}
+
+// A directory its owner can write and search but not read: creating,
+// fsyncing and renaming a tmp all succeed, and only opening the directory
+// for its fsync fails (EACCES). The rename is then not known to be durable,
+// so the publish must not be acknowledged.
+TEST(DurabilityErrors, PublishIntoAnUnreadableDirectoryThrows) {
+  TempPath t("dirsync");
+  const std::vector<std::uint8_t> body = {1, 2, 3};
+  const bool ran = run_unprivileged(t.path, [&] {
+    if (::chmod(t.path.c_str(), 0300) != 0) return false;
+    try {
+      nio::publish_envelope(t.path + "/run.manifest", 0x4e434b, body);
+    } catch (const numarck::ContractViolation& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return std::string(e.what()).find(t.path) != std::string::npos;
+    }
+    return false;
+  });
+  if (!ran) GTEST_SKIP() << "root cannot drop to uid " << kNobody;
+}
+
+TEST(DurabilityErrors, StorePutIntoAnUnreadableDirectoryIsNotAcknowledged) {
+  TempPath t("dirsyncput");
+  const bool ran = run_unprivileged(t.path, [&] {
+    try {
+      ns::CheckpointStore s(t.path, {kVar});
+      if (::chmod(t.path.c_str(), 0300) != 0) return false;
+      std::map<std::string, nk::CompressedStep> steps;
+      steps.emplace(kVar, full_step(0.0));
+      try {
+        s.put(0, 0.0, steps);
+        return false;
+      } catch (const numarck::ContractViolation& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+      }
+      return s.list().empty() && !s.latest().has_value();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "unexpected: %s\n", e.what());
+      return false;
+    }
+  });
+  if (!ran) GTEST_SKIP() << "root cannot drop to uid " << kNobody;
 }
 
 // ------------------------------------------------------------- read paths --
@@ -260,8 +345,9 @@ TEST(DurabilityErrors, ReadFailureAfterScanSurfacesOnLoad) {
   }
 
   // The scan is one bulk read; let it pass, then fail every later read.
-  nio::CheckpointReader reader(std::make_unique<nio::ErringSource>(
-      std::make_unique<nio::FileSource>(t.path), /*after_reads=*/1, EIO));
+  nio::CheckpointReader reader(std::make_unique<nio::FaultySource>(
+      std::make_unique<nio::FileSource>(t.path),
+      failing(Op::kRead, /*after=*/1, EIO)));
   ASSERT_EQ(reader.iteration_count(), 2u);
   try {
     (void)reader.load(kVar, 0);

@@ -17,6 +17,7 @@
 #include "numarck/core/compressor.hpp"
 #include "numarck/io/byte_source.hpp"
 #include "numarck/io/checkpoint_file.hpp"
+#include "numarck/io/fault.hpp"
 #include "numarck/sim/flash/simulator.hpp"
 #include "numarck/util/expect.hpp"
 #include "numarck/util/rng.hpp"
@@ -66,6 +67,13 @@ std::map<std::string, std::vector<double>> serial_replay(
     out[var] = rec.state();
   }
   return out;
+}
+
+/// A plan whose reads pass `after` times, then fail with EIO persistently.
+std::shared_ptr<nio::FaultPlan> failing_reads(std::size_t after) {
+  auto plan = std::make_shared<nio::FaultPlan>();
+  plan->fail(nio::FaultPlan::Op::kRead, after, EIO);
+  return plan;
 }
 
 /// Bitwise equality, so a NaN payload or a signed zero cannot hide.
@@ -359,6 +367,33 @@ TEST(ParallelRestore, AdaptiveChainsRebasingAtDifferentIterationsMatchSerialRepl
   expect_restores_match_serial_replay(tmp.path());
 }
 
+TEST(CheckpointFile, LoadValidatesEachChainStartOnce) {
+  // One full and kDeltas deltas: loading every record reads each payload
+  // exactly once. The chain start's validated point count is remembered,
+  // not re-read for every delta that it bounds.
+  TempFile tmp("load_reads");
+  constexpr std::size_t kDeltas = 12;
+  {
+    nk::VariableCompressor comp{nk::Options{}};
+    nio::CheckpointWriter w(tmp.path(), {"v"});
+    for (std::size_t it = 0; it <= kDeltas; ++it) {
+      w.append("v", it, 0.0,
+               comp.push(snap(2000, 0.3 * static_cast<double>(it), 5)));
+    }
+    w.close();
+  }
+  auto plan = std::make_shared<nio::FaultPlan>();
+  const nio::CheckpointReader r(std::make_shared<nio::FaultySource>(
+      std::make_unique<nio::FileSource>(tmp.path()), plan));
+  ASSERT_EQ(r.info("v", 0)->type, nio::RecordType::kFull);
+  ASSERT_EQ(r.info("v", kDeltas)->type, nio::RecordType::kDelta);
+  const std::size_t scan_reads = plan->calls(nio::FaultPlan::Op::kRead);
+  for (std::size_t it = 0; it <= kDeltas; ++it) {
+    EXPECT_EQ(r.load("v", it).point_count, 2000u);
+  }
+  EXPECT_EQ(plan->calls(nio::FaultPlan::Op::kRead) - scan_reads, kDeltas + 1);
+}
+
 TEST(ParallelRestore, ReadFailureOnAnyRecordThrowsNamingEio) {
   // The scan is one bulk read. Every later read — chain starts on the
   // caller, deltas on the pool — fails from its scheduled one on: the
@@ -385,8 +420,8 @@ TEST(ParallelRestore, ReadFailureOnAnyRecordThrowsNamingEio) {
                         .reconstruct(kIters - 1);
   const std::size_t payload_reads = vars.size() * kIters;
   for (std::size_t ok = 1; ok <= payload_reads; ++ok) {
-    const nio::CheckpointReader r(std::make_shared<nio::ErringSource>(
-        std::make_unique<nio::FileSource>(tmp.path()), ok, EIO));
+    const nio::CheckpointReader r(std::make_shared<nio::FaultySource>(
+        std::make_unique<nio::FileSource>(tmp.path()), failing_reads(ok)));
     try {
       (void)nio::RestartEngine(r).reconstruct(kIters - 1);
       ADD_FAILURE() << "restore succeeded with read " << ok + 1 << " failing";
@@ -396,7 +431,8 @@ TEST(ParallelRestore, ReadFailureOnAnyRecordThrowsNamingEio) {
           << e.what();
     }
   }
-  const nio::CheckpointReader r(std::make_shared<nio::ErringSource>(
-      std::make_unique<nio::FileSource>(tmp.path()), 1 + payload_reads, EIO));
+  const nio::CheckpointReader r(std::make_shared<nio::FaultySource>(
+      std::make_unique<nio::FileSource>(tmp.path()),
+      failing_reads(1 + payload_reads)));
   EXPECT_EQ(nio::RestartEngine(r).reconstruct(kIters - 1), want);
 }

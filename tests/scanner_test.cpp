@@ -21,6 +21,7 @@
 #include "numarck/io/byte_source.hpp"
 #include "numarck/io/checkpoint_file.hpp"
 #include "numarck/io/container_scanner.hpp"
+#include "numarck/io/fault.hpp"
 #include "numarck/io/framed_writer.hpp"
 #include "numarck/util/byte_stream.hpp"
 #include "numarck/util/crc32.hpp"
@@ -397,9 +398,11 @@ TEST(ByteSourceTest, MemorySourceIsZeroCopyAndBounded) {
   EXPECT_EQ(buf[0], 99);
 }
 
-TEST(ByteSourceTest, ErringSourceFailsScheduledReadPersistently) {
+TEST(ByteSourceTest, FaultySourceFailsScheduledReadPersistently) {
   std::vector<std::uint8_t> data(32, 7);
-  nio::ErringSource src(std::make_unique<nio::MemorySource>(data), 1, EIO);
+  auto plan = std::make_shared<nio::FaultPlan>();
+  plan->fail(nio::FaultPlan::Op::kRead, 1, EIO);
+  nio::FaultySource src(std::make_unique<nio::MemorySource>(data), plan);
   std::uint8_t buf[4] = {};
   src.read_at(0, buf, 4);  // read #1 passes through
   EXPECT_EQ(buf[0], 7);
@@ -417,15 +420,17 @@ TEST(ByteSourceTest, ReadAllRoundTrips) {
   EXPECT_EQ(nio::read_all(src), data);
 }
 
-TEST(ByteSourceTest, ReaderOverErringSourceSurfacesLoadFailure) {
+TEST(ByteSourceTest, ReaderOverFaultySourceSurfacesLoadFailure) {
   const auto image = build_container();
   TempFile tmp("esrc");
   write_bytes(tmp.path, image);
   // The whole scan fits in one 256 KiB streamed read; the next read — the
   // first payload load — hits the injected EIO. Restart paths must surface
   // it, never fabricate data.
-  auto source = std::make_shared<nio::ErringSource>(
-      std::make_unique<nio::FileSource>(tmp.path), 1, EIO);
+  auto plan = std::make_shared<nio::FaultPlan>();
+  plan->fail(nio::FaultPlan::Op::kRead, 1, EIO);
+  auto source = std::make_shared<nio::FaultySource>(
+      std::make_unique<nio::FileSource>(tmp.path), plan);
   const nio::CheckpointReader reader(source);
   EXPECT_EQ(reader.variables().size(), 2u);
   EXPECT_THROW((void)reader.load("a", 0), numarck::ContractViolation);

@@ -41,6 +41,7 @@
 #include "numarck/io/checkpoint_file.hpp"
 #include "numarck/io/distributed_checkpoint.hpp"
 #include "numarck/io/durable_file.hpp"
+#include "numarck/io/fault.hpp"
 #include "numarck/lossless/fpc.hpp"
 #include "numarck/store/checkpoint_store.hpp"
 #include "numarck/util/byte_stream.hpp"
@@ -377,16 +378,10 @@ TEST(Store, CompactorParksAfterPersistentFailuresAndPutsStillWork) {
   opts.compact_retry_limit = 3;
   // Every standalone-merge temporary fails its first write, as a disk that
   // errors persistently would; regular container puts pass through.
-  opts.sink_factory =
-      [](const std::string& path) -> std::unique_ptr<nio::ByteSink> {
-    auto inner = std::make_unique<nio::FileSink>(path);
-    if (path.size() >= 14 &&
-        path.compare(path.size() - 14, 14, ".epoch.nck.tmp") == 0) {
-      return std::make_unique<nio::ErringFile>(
-          std::move(inner), nio::ErringFile::Op::kWrite, 0, ENOSPC);
-    }
-    return inner;
-  };
+  auto plan = std::make_shared<nio::FaultPlan>();
+  plan->fail(nio::FaultPlan::Op::kWrite, 0, ENOSPC)
+      .only_paths_ending(".epoch.nck.tmp");
+  opts.sink_factory = nio::faulty_files(plan);
   ns::CheckpointStore s(t.dir, opts);
   const auto expected = put_chain(s, 4);
   s.promote(1, ns::Tier::kBest);  // delta entry: compaction work that fails
@@ -1240,15 +1235,10 @@ TEST(Store, AdaptiveFailedPutRestartsTheChainWithAFull) {
   { ns::CheckpointStore create(t.dir, {kVar}); }
   // Exactly one container write fails: the one for iteration 1.
   ns::StoreOptions opts;
-  opts.sink_factory =
-      [](const std::string& path) -> std::unique_ptr<nio::ByteSink> {
-    auto inner = std::make_unique<nio::FileSink>(path);
-    if (path.ends_with("it00000001.nck.tmp")) {
-      return std::make_unique<nio::ErringFile>(
-          std::move(inner), nio::ErringFile::Op::kWrite, 0, ENOSPC);
-    }
-    return inner;
-  };
+  auto plan = std::make_shared<nio::FaultPlan>();
+  plan->fail(nio::FaultPlan::Op::kWrite, 0, ENOSPC)
+      .only_paths_ending("it00000001.nck.tmp");
+  opts.sink_factory = nio::faulty_files(plan);
   ns::CheckpointStore s(t.dir, opts);
   numarck::adaptive::StoreBackedCheckpointer ckpt(
       s, numarck::adaptive::AdaptiveOptions{});

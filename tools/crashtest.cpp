@@ -1,5 +1,6 @@
 #include "numarck/tools/crashtest.hpp"
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -10,7 +11,6 @@
 #include <csignal>
 #include <cstdio>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "numarck/codec/codec.hpp"
@@ -18,7 +18,6 @@
 #include "numarck/distributed/encoder.hpp"
 #include "numarck/distributed/recovery.hpp"
 #include "numarck/io/distributed_checkpoint.hpp"
-#include "numarck/io/durable_file.hpp"
 #include "numarck/mpisim/world.hpp"
 #include "numarck/util/expect.hpp"
 #include "numarck/util/rng.hpp"
@@ -89,37 +88,27 @@ Snapshots expected_states(const CrashTrialConfig& cfg, const Snapshots& snaps) {
   return expect;
 }
 
-/// Writes the manifest plus every rank file. The victim writes LAST and
-/// through `budget` when given, so the crash strikes a checkpoint set whose
-/// other ranks are already complete — the lone-torn-file restart scenario.
-/// Returns the victim's clean byte count (meaningful without a budget).
-std::uint64_t write_rank_files(const CrashTrialConfig& cfg,
-                               const Snapshots& snaps, std::size_t victim,
-                               const std::shared_ptr<io::CrashBudget>& budget,
-                               io::FaultyFile::CrashMode mode) {
+/// Writes the manifest plus every rank file, each opened through `files`.
+/// The victim writes LAST, so a crash strikes a checkpoint set whose other
+/// ranks are already complete — the lone-torn-file restart scenario.
+void write_rank_files(const CrashTrialConfig& cfg, const Snapshots& snaps,
+                      std::size_t victim, const io::SinkFactory& files) {
   trial_manifest(cfg).save(io::Manifest::manifest_path(cfg.base));
   std::vector<std::size_t> order;
   for (std::size_t r = 0; r < cfg.ranks; ++r) {
     if (r != victim) order.push_back(r);
   }
   order.push_back(victim);
-  std::uint64_t victim_bytes = 0;
   for (const std::size_t r : order) {
-    std::unique_ptr<io::ByteSink> sink =
-        std::make_unique<io::FileSink>(io::Manifest::rank_path(cfg.base, r));
-    if (r == victim && budget) {
-      sink = std::make_unique<io::FaultyFile>(std::move(sink), budget, mode);
-    }
-    io::CheckpointWriter writer(std::move(sink), {"state"});
+    io::CheckpointWriter writer(files(io::Manifest::rank_path(cfg.base, r)),
+                                {"state"});
     core::VariableCompressor comp(trial_options(cfg));
     for (std::size_t i = 0; i < cfg.iterations; ++i) {
       writer.append("state", i, static_cast<double>(i),
                     comp.push(snaps[i][r]));
     }
     writer.close();
-    if (r == victim) victim_bytes = writer.bytes_written();
   }
-  return victim_bytes;
 }
 
 /// Post-crash assertions shared by the injected and sigkill trials. Returns
@@ -170,11 +159,30 @@ std::string verify_recovery(const CrashTrialConfig& cfg, const Snapshots& snaps,
   return "engine reconstructed beyond the last complete iteration";
 }
 
-/// Victim + byte budget for this seed. The budget is drawn from
-/// [16, clean_total): always inside the stream, so a tear is guaranteed.
-std::uint64_t draw_budget(util::Pcg32& rng, std::uint64_t clean_total) {
-  NUMARCK_EXPECT(clean_total > 32, "trial checkpoint implausibly small");
-  return 16 + rng.bounded(static_cast<std::uint32_t>(clean_total - 16));
+/// The injected and sigkill trials: the victim rank's file tears at a byte
+/// budget drawn from the `stream` of the seed, then the restart is verified.
+CrashTrialResult run_byte_budget_trial(const CrashTrialConfig& cfg,
+                                       io::FaultPlan::Death death,
+                                       std::uint64_t stream) {
+  CrashTrialResult out;
+  const auto snaps = make_snapshots(cfg);
+  const auto expect = expected_states(cfg, snaps);
+  util::Pcg32 rng(cfg.seed, stream);
+  out.victim = rng.bounded(static_cast<std::uint32_t>(cfg.ranks));
+  FaultTrialSpec spec;
+  spec.death = death;
+  spec.path_suffix = io::Manifest::rank_path(cfg.base, out.victim);
+  spec.ack_path = cfg.base + ".ack";
+  spec.reset = [&cfg] { remove_trial_files(cfg); };
+  spec.run = [&](const io::SinkFactory& files, const std::function<void()>&) {
+    write_rank_files(cfg, snaps, out.victim, files);
+  };
+  const FaultTrialOutcome trial = run_fault_trial(spec, rng);
+  out.crash_point = trial.crash_point;
+  out.crash_fired = trial.crash_fired;
+  out.failure = trial.failure;
+  if (out.ok()) out.failure = verify_recovery(cfg, snaps, expect, out);
+  return out;
 }
 
 }  // namespace
@@ -183,102 +191,78 @@ void remove_trial_files(const CrashTrialConfig& cfg) {
   const std::string manifest = io::Manifest::manifest_path(cfg.base);
   std::remove(manifest.c_str());
   std::remove((manifest + ".tmp").c_str());
+  std::remove((cfg.base + ".ack").c_str());
   for (std::size_t r = 0; r < cfg.ranks; ++r) {
     std::remove(io::Manifest::rank_path(cfg.base, r).c_str());
   }
 }
 
-CrashTrialResult run_injected_crash_trial(const CrashTrialConfig& cfg) {
-  CrashTrialResult out;
-  const auto snaps = make_snapshots(cfg);
-  const auto expect = expected_states(cfg, snaps);
-  util::Pcg32 rng(cfg.seed, 0xc4a54u);
-  out.victim = rng.bounded(static_cast<std::uint32_t>(cfg.ranks));
-  // Clean pass sizes the victim's file so the budget always lands mid-stream.
-  const std::uint64_t total =
-      write_rank_files(cfg, snaps, out.victim, nullptr,
-                       io::FaultyFile::CrashMode::kThrow);
-  out.crash_point = draw_budget(rng, total);
-  const auto budget = std::make_shared<io::CrashBudget>(out.crash_point);
-  try {
-    write_rank_files(cfg, snaps, out.victim, budget,
-                     io::FaultyFile::CrashMode::kThrow);
-  } catch (const io::InjectedCrash&) {
-    out.crash_fired = true;
+FaultTrialOutcome run_fault_trial(const FaultTrialSpec& spec,
+                                  util::Pcg32& rng) {
+  FaultTrialOutcome out;
+  // The workload is deterministic, so the faulty run writes the byte stream
+  // the sizing run counted, and any crash point below the count tears it.
+  auto counting = std::make_shared<io::FaultPlan>();
+  counting->only_paths_ending(spec.path_suffix);
+  spec.reset();
+  spec.run(io::faulty_files(counting), [] {});
+  const std::uint64_t total = counting->bytes_written();
+
+  auto plan = std::make_shared<io::FaultPlan>();
+  plan->only_paths_ending(spec.path_suffix);
+  if (!spec.may_finish || total > 32) {
+    NUMARCK_EXPECT(total > 32, "crash trial writes implausibly few bytes");
+    out.crash_point = 16 + rng.bounded(static_cast<std::uint32_t>(total - 16));
+    plan->crash_at(out.crash_point, spec.death);
   }
-  if (!out.crash_fired) {
+  const FaultTrialSpec::Run& run = spec.run_faulty ? spec.run_faulty : spec.run;
+  spec.reset();
+  if (spec.death == io::FaultPlan::Death::kThrow) {
+    try {
+      run(io::faulty_files(plan), [&out] { ++out.acked; });
+    } catch (const io::InjectedCrash&) {
+      out.crash_fired = true;
+    }
+  } else {
+    const pid_t pid = ::fork();
+    NUMARCK_EXPECT(pid >= 0, "fork failed for the crash child");
+    if (pid == 0) {
+      try {
+        io::FileSink ack(spec.ack_path);
+        run(io::faulty_files(plan), [&ack] {
+          const char byte = '+';
+          ack.write(&byte, 1);
+        });
+        ::_exit(42);
+      } catch (...) {
+        ::_exit(43);
+      }
+    }
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    out.crash_fired = WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+    if (!out.crash_fired && !(WIFEXITED(status) && WEXITSTATUS(status) == 42)) {
+      out.failure = "crash child failed unexpectedly";
+      return out;
+    }
+    struct ::stat st = {};
+    if (::stat(spec.ack_path.c_str(), &st) == 0) {
+      out.acked = static_cast<std::size_t>(st.st_size);
+    }
+  }
+  if (!out.crash_fired && !spec.may_finish) {
     out.failure = "crash budget was never exhausted";
-    return out;
   }
-  out.failure = verify_recovery(cfg, snaps, expect, out);
   return out;
 }
 
+CrashTrialResult run_injected_crash_trial(const CrashTrialConfig& cfg) {
+  return run_byte_budget_trial(cfg, io::FaultPlan::Death::kThrow, 0xc4a54u);
+}
+
 CrashTrialResult run_sigkill_crash_trial(const CrashTrialConfig& cfg) {
-  CrashTrialResult out;
-  const auto snaps = make_snapshots(cfg);
-  util::Pcg32 rng(cfg.seed, 0x51c4111u);
-  out.victim = rng.bounded(static_cast<std::uint32_t>(cfg.ranks));
-
-  // Child A: clean write, to size the victim's file. Run in a child too so
-  // the parent never touches the compressor before forking child B (keeps
-  // the forked children free of inherited thread-pool state).
-  pid_t pid = ::fork();
-  NUMARCK_EXPECT(pid >= 0, "fork failed for the clean-write child");
-  if (pid == 0) {
-    try {
-      write_rank_files(cfg, snaps, out.victim, nullptr,
-                       io::FaultyFile::CrashMode::kSigkill);
-      ::_exit(0);
-    } catch (...) {
-      ::_exit(43);
-    }
-  }
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    out.failure = "clean-write child failed";
-    return out;
-  }
-  std::uint64_t total = 0;
-  {
-    std::FILE* f =
-        std::fopen(io::Manifest::rank_path(cfg.base, out.victim).c_str(), "rb");
-    if (f == nullptr) {
-      out.failure = "clean victim file missing";
-      return out;
-    }
-    std::fseek(f, 0, SEEK_END);
-    total = static_cast<std::uint64_t>(std::ftell(f));
-    std::fclose(f);
-  }
-  out.crash_point = draw_budget(rng, total);
-
-  // Child B: the real trial — SIGKILL mid-write, no unwinding, no flush.
-  pid = ::fork();
-  NUMARCK_EXPECT(pid >= 0, "fork failed for the crash child");
-  if (pid == 0) {
-    const auto budget = std::make_shared<io::CrashBudget>(out.crash_point);
-    try {
-      write_rank_files(cfg, snaps, out.victim, budget,
-                       io::FaultyFile::CrashMode::kSigkill);
-      ::_exit(42);  // budget never exhausted — should be unreachable
-    } catch (...) {
-      ::_exit(43);
-    }
-  }
-  status = 0;
-  ::waitpid(pid, &status, 0);
-  if (!(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)) {
-    out.failure = "crash child was not SIGKILLed at the byte budget";
-    return out;
-  }
-  out.crash_fired = true;
-  // Ground truth is deterministic, so the parent can recompute it after the
-  // forks are done.
-  const auto expect = expected_states(cfg, snaps);
-  out.failure = verify_recovery(cfg, snaps, expect, out);
-  return out;
+  return run_byte_budget_trial(cfg, io::FaultPlan::Death::kSigkill,
+                               0x51c4111u);
 }
 
 CrashTrialResult run_world_fault_trial(const CrashTrialConfig& cfg) {

@@ -17,7 +17,8 @@
 //   * every retained iteration reconstructs bit-exactly against the
 //     decoder's ground truth.
 //
-// Three death mechanisms:
+// All three run on the shared byte-budget skeleton (crashtest.hpp,
+// run_fault_trial). Three death mechanisms:
 //   * throw     — in-process InjectedCrash at an exact byte budget;
 //   * sigkill   — a forked child SIGKILLs itself mid-operation, reporting
 //                 acknowledged operations through an append-only ack log;
@@ -33,8 +34,7 @@
 namespace numarck::tools {
 
 struct StoreCrashTrialConfig {
-  /// Store directory for the trial; "<dir>.clean" and "<dir>.ack" are used
-  /// as scratch.
+  /// Store directory for the trial; "<dir>.ack" is used as scratch.
   std::string dir;
   std::size_t points = 96;
   /// Operations in the schedule (puts/promotes/prunes/compactions).

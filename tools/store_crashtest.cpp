@@ -1,21 +1,15 @@
 #include "numarck/tools/store_crashtest.hpp"
 
-#include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "numarck/core/compressor.hpp"
-#include "numarck/io/durable_file.hpp"
+#include "numarck/tools/crashtest.hpp"
 #include "numarck/store/checkpoint_store.hpp"
 #include "numarck/util/expect.hpp"
 #include "numarck/util/rng.hpp"
@@ -135,60 +129,19 @@ StorePlan make_plan(const StoreCrashTrialConfig& cfg) {
   return plan;
 }
 
-// ------------------------------------------------------------------ sinks --
-
-/// Byte-counting pass-through used by the clean sizing run.
-class CountingSink final : public io::ByteSink {
- public:
-  CountingSink(std::unique_ptr<io::ByteSink> inner,
-               std::shared_ptr<std::atomic<std::uint64_t>> counter)
-      : inner_(std::move(inner)), counter_(std::move(counter)) {}
-
-  void write(const void* data, std::size_t size) override {
-    counter_->fetch_add(size, std::memory_order_relaxed);
-    inner_->write(data, size);
-  }
-  void sync() override { inner_->sync(); }
-  void close() override { inner_->close(); }
-
- private:
-  std::unique_ptr<io::ByteSink> inner_;
-  std::shared_ptr<std::atomic<std::uint64_t>> counter_;
-};
-
-bool is_merge_write(const std::string& path) {
-  return path.size() >= 14 &&
-         path.compare(path.size() - 14, 14, ".epoch.nck.tmp") == 0;
-}
-
 store::StoreOptions plain_store_options(const StoreCrashTrialConfig& cfg) {
   store::StoreOptions opts;
   opts.epoch_every = cfg.epoch_every;
   return opts;
 }
 
-store::StoreOptions faulty_store_options(
-    const StoreCrashTrialConfig& cfg,
-    std::shared_ptr<io::CrashBudget> budget, io::FaultyFile::CrashMode mode,
-    bool merge_writes_only) {
-  store::StoreOptions opts = plain_store_options(cfg);
-  opts.sink_factory = [budget, mode, merge_writes_only](
-                          const std::string& path)
-      -> std::unique_ptr<io::ByteSink> {
-    std::unique_ptr<io::ByteSink> sink = std::make_unique<io::FileSink>(path);
-    if (!budget || (merge_writes_only && !is_merge_write(path))) return sink;
-    return std::make_unique<io::FaultyFile>(std::move(sink), budget, mode);
-  };
-  return opts;
-}
-
 // -------------------------------------------------------------- execution --
 
-/// Runs the schedule, bumping `done` and appending one ack byte after each
-/// operation returns — so a post-mortem reader knows ops [0, done) were
-/// acknowledged and at most the next one was in flight.
+/// Runs the schedule, calling `ack` after each operation returns — so a
+/// post-mortem reader knows which ops were acknowledged and that at most
+/// the next one was in flight.
 void run_ops(store::CheckpointStore& s, const StorePlan& plan,
-             std::size_t& done, io::ByteSink* ack) {
+             const std::function<void()>& ack) {
   std::size_t put_index = 0;
   for (const auto& op : plan.ops) {
     switch (op.kind) {
@@ -209,44 +162,8 @@ void run_ops(store::CheckpointStore& s, const StorePlan& plan,
         (void)s.compact_once();
         break;
     }
-    ++done;
-    if (ack != nullptr) {
-      const char byte = '+';
-      ack->write(&byte, 1);
-    }
+    ack();
   }
-}
-
-struct CleanBytes {
-  std::uint64_t total = 0;
-  std::uint64_t merge = 0;  ///< bytes of *.epoch.nck.tmp writes only
-};
-
-/// Replays the schedule cleanly in "<dir>.clean" to size the byte budgets.
-/// The op stream is deterministic, so the faulty run writes the identical
-/// byte sequence and any budget below `total` is guaranteed to fire.
-CleanBytes clean_sizing_run(const StoreCrashTrialConfig& cfg,
-                            const StorePlan& plan) {
-  const std::string dir = cfg.dir + ".clean";
-  fs::remove_all(dir);
-  { store::CheckpointStore create(dir, {kVar}, plain_store_options(cfg)); }
-  auto total = std::make_shared<std::atomic<std::uint64_t>>(0);
-  auto merge = std::make_shared<std::atomic<std::uint64_t>>(0);
-  store::StoreOptions opts = plain_store_options(cfg);
-  opts.sink_factory =
-      [total, merge](const std::string& path) -> std::unique_ptr<io::ByteSink> {
-    return std::make_unique<CountingSink>(
-        std::make_unique<io::FileSink>(path),
-        is_merge_write(path) ? merge : total);
-  };
-  {
-    store::CheckpointStore s(dir, opts);
-    std::size_t done = 0;
-    run_ops(s, plan, done, nullptr);
-  }
-  fs::remove_all(dir);
-  // Merge writes are part of the process's total stream too.
-  return {total->load() + merge->load(), merge->load()};
 }
 
 // ----------------------------------------------------------- verification --
@@ -351,153 +268,86 @@ std::string verify_store_recovery(const StoreCrashTrialConfig& cfg,
   return "";
 }
 
-std::uint64_t draw_store_budget(util::Pcg32& rng, std::uint64_t clean_total) {
-  NUMARCK_EXPECT(clean_total > 32, "store trial writes implausibly few bytes");
-  return 16 + rng.bounded(static_cast<std::uint32_t>(clean_total - 16));
-}
-
 void prepare_store_dir(const StoreCrashTrialConfig& cfg) {
-  fs::remove_all(cfg.dir);
-  std::remove((cfg.dir + ".ack").c_str());
+  remove_store_trial_files(cfg);
   // Created clean so every trial starts from a valid published (empty)
   // manifest; the injected schedule then reopens it.
   store::CheckpointStore create(cfg.dir, {kVar}, plain_store_options(cfg));
 }
 
-std::size_t read_ack_count(const std::string& path) {
-  struct ::stat st = {};
-  if (::stat(path.c_str(), &st) != 0) return 0;
-  return static_cast<std::size_t>(st.st_size);
+/// The store half of the shared skeleton: every trial resets `cfg.dir` to
+/// an empty store, runs the schedule through the plan's files (with the
+/// background compactor live when `compactor`), then verifies the reopen.
+StoreCrashTrialResult run_store_trial(const StoreCrashTrialConfig& cfg,
+                                      FaultTrialSpec spec,
+                                      std::uint64_t stream, bool compactor) {
+  const StorePlan plan = make_plan(cfg);
+  spec.ack_path = cfg.dir + ".ack";
+  spec.reset = [&cfg] { prepare_store_dir(cfg); };
+  const auto run = [&](const io::SinkFactory& files,
+                       const std::function<void()>& ack, bool background) {
+    store::StoreOptions opts = plain_store_options(cfg);
+    opts.sink_factory = files;
+    opts.compact_interval = std::chrono::milliseconds(1);
+    store::CheckpointStore s(cfg.dir, opts);
+    if (background) s.start_compactor();
+    run_ops(s, plan, ack);
+    if (!background) return;
+    s.stop_compactor();
+    // Drain the remaining merge work on this thread so a live budget is
+    // always exhausted even when the background thread lost every race.
+    while (s.compact_once()) {
+    }
+  };
+  spec.run = [&](const io::SinkFactory& files,
+                 const std::function<void()>& ack) { run(files, ack, false); };
+  if (compactor) {
+    spec.run_faulty = [&](const io::SinkFactory& files,
+                          const std::function<void()>& ack) {
+      run(files, ack, true);
+    };
+  }
+  util::Pcg32 rng(cfg.seed, stream);
+  const FaultTrialOutcome trial = run_fault_trial(spec, rng);
+  StoreCrashTrialResult out;
+  out.crash_point = trial.crash_point;
+  out.crash_fired = trial.crash_fired;
+  out.acked_ops = trial.acked;
+  out.failure = trial.failure;
+  if (out.ok()) {
+    out.failure = verify_store_recovery(cfg, plan, out.acked_ops, out);
+  }
+  return out;
 }
 
 }  // namespace
 
 void remove_store_trial_files(const StoreCrashTrialConfig& cfg) {
   fs::remove_all(cfg.dir);
-  fs::remove_all(cfg.dir + ".clean");
   std::remove((cfg.dir + ".ack").c_str());
 }
 
 StoreCrashTrialResult run_store_throw_trial(const StoreCrashTrialConfig& cfg) {
-  StoreCrashTrialResult out;
-  const StorePlan plan = make_plan(cfg);
-  prepare_store_dir(cfg);
-  const CleanBytes bytes = clean_sizing_run(cfg, plan);
-  util::Pcg32 rng(cfg.seed, 0x57c4a5u);
-  out.crash_point = draw_store_budget(rng, bytes.total);
-  const auto budget = std::make_shared<io::CrashBudget>(out.crash_point);
-
-  std::size_t acked = 0;
-  try {
-    store::CheckpointStore s(
-        cfg.dir, faulty_store_options(cfg, budget,
-                                      io::FaultyFile::CrashMode::kThrow,
-                                      /*merge_writes_only=*/false));
-    run_ops(s, plan, acked, nullptr);
-  } catch (const io::InjectedCrash&) {
-    out.crash_fired = true;
-  }
-  if (!out.crash_fired) {
-    out.failure = "crash budget was never exhausted";
-    return out;
-  }
-  out.acked_ops = acked;
-  out.failure = verify_store_recovery(cfg, plan, acked, out);
-  return out;
+  FaultTrialSpec spec;
+  spec.death = io::FaultPlan::Death::kThrow;
+  return run_store_trial(cfg, spec, 0x57c4a5u, /*compactor=*/false);
 }
 
 StoreCrashTrialResult run_store_sigkill_trial(const StoreCrashTrialConfig& cfg) {
-  StoreCrashTrialResult out;
-  const StorePlan plan = make_plan(cfg);
-  prepare_store_dir(cfg);
-  const CleanBytes bytes = clean_sizing_run(cfg, plan);
-  util::Pcg32 rng(cfg.seed, 0x51c511u);
-  out.crash_point = draw_store_budget(rng, bytes.total);
-  const std::string ack_path = cfg.dir + ".ack";
-
-  const pid_t pid = ::fork();
-  NUMARCK_EXPECT(pid >= 0, "fork failed for the store crash child");
-  if (pid == 0) {
-    try {
-      const auto budget = std::make_shared<io::CrashBudget>(out.crash_point);
-      io::FileSink ack(ack_path);
-      store::CheckpointStore s(
-          cfg.dir, faulty_store_options(cfg, budget,
-                                        io::FaultyFile::CrashMode::kSigkill,
-                                        /*merge_writes_only=*/false));
-      std::size_t done = 0;
-      run_ops(s, plan, done, &ack);
-      ::_exit(42);  // budget never exhausted — unreachable, the stream is det.
-    } catch (...) {
-      ::_exit(43);
-    }
-  }
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  if (!(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)) {
-    out.failure = "store crash child was not SIGKILLed at the byte budget";
-    return out;
-  }
-  out.crash_fired = true;
-  out.acked_ops = read_ack_count(ack_path);
-  out.failure = verify_store_recovery(cfg, plan, out.acked_ops, out);
-  return out;
+  FaultTrialSpec spec;
+  spec.death = io::FaultPlan::Death::kSigkill;
+  return run_store_trial(cfg, spec, 0x51c511u, /*compactor=*/false);
 }
 
 StoreCrashTrialResult run_store_compactor_trial(
     const StoreCrashTrialConfig& cfg) {
-  StoreCrashTrialResult out;
-  const StorePlan plan = make_plan(cfg);
-  prepare_store_dir(cfg);
-  const CleanBytes bytes = clean_sizing_run(cfg, plan);
-  util::Pcg32 rng(cfg.seed, 0xc09ac7u);
-  // Budget scoped to standalone-merge writes; when the schedule produced no
-  // merge work the trial still runs (uninjected) to exercise the thread.
-  const bool injected = bytes.merge > 32;
-  if (injected) out.crash_point = draw_store_budget(rng, bytes.merge);
-  const std::string ack_path = cfg.dir + ".ack";
-
-  const pid_t pid = ::fork();
-  NUMARCK_EXPECT(pid >= 0, "fork failed for the compactor crash child");
-  if (pid == 0) {
-    try {
-      const auto budget =
-          injected ? std::make_shared<io::CrashBudget>(out.crash_point)
-                   : std::shared_ptr<io::CrashBudget>();
-      io::FileSink ack(ack_path);
-      store::StoreOptions opts = faulty_store_options(
-          cfg, budget, io::FaultyFile::CrashMode::kSigkill,
-          /*merge_writes_only=*/true);
-      opts.compact_interval = std::chrono::milliseconds(1);
-      store::CheckpointStore s(cfg.dir, opts);
-      s.start_compactor();
-      std::size_t done = 0;
-      run_ops(s, plan, done, &ack);
-      s.stop_compactor();
-      // Drain the remaining merge work on this thread so a live budget is
-      // always exhausted even when the background thread lost every race.
-      while (s.compact_once()) {
-      }
-      ::_exit(42);
-    } catch (...) {
-      ::_exit(43);
-    }
-  }
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  if (WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) {
-    out.crash_fired = true;
-  } else if (WIFEXITED(status) && WEXITSTATUS(status) == 42) {
-    // No merge work reached the budget (or the trial ran uninjected): the
-    // schedule completed — verify the final state instead.
-    out.crash_fired = false;
-  } else {
-    out.failure = "compactor crash child failed unexpectedly";
-    return out;
-  }
-  out.acked_ops = read_ack_count(ack_path);
-  out.failure = verify_store_recovery(cfg, plan, out.acked_ops, out);
-  return out;
+  // Only standalone-merge writes count and tear; with too little merge work
+  // in the schedule the trial still runs, uninjected, to exercise the thread.
+  FaultTrialSpec spec;
+  spec.death = io::FaultPlan::Death::kSigkill;
+  spec.path_suffix = ".epoch.nck.tmp";
+  spec.may_finish = true;
+  return run_store_trial(cfg, spec, 0xc09ac7u, /*compactor=*/true);
 }
 
 }  // namespace numarck::tools
