@@ -234,8 +234,9 @@ PopulatedBins fold_populated(std::span<const double> xs, std::size_t bins,
   const double inv_width = static_cast<double>(bins) / (hi - lo);
 
   std::vector<std::uint32_t> bin_of(n);
-  numarck::util::parallel_for_chunked(
-      pool, 0, n, [&](std::size_t i0, std::size_t i1) {
+  numarck::util::parallel_chunks(
+      pool, numarck::util::ChunkPlan(0, n, pool.size()),
+      [&](std::size_t, std::size_t i0, std::size_t i1) {
         for (std::size_t i = i0; i < i1; ++i) {
           const double est = (xs[i] - lo) * inv_width;
           bin_of[i] = static_cast<std::uint32_t>(

@@ -81,7 +81,6 @@ class NumarckCodec final : public Codec {
     step.payload = enc.serialize(opts.postpass);
     step.stats = enc.stats;
     step.paper_ratio_pct = enc.paper_compression_ratio();
-    step.index_bits = enc.index_bits;
     return step;
   }
 

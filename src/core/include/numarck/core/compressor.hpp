@@ -38,9 +38,6 @@ struct CompressedStep {
   IterationStats stats;
   /// Eq. 3-style compression ratio in percent, as reported by the codec.
   double paper_ratio_pct = 0.0;
-  /// Index precision B of a NUMARCK delta (0 otherwise) — the sharded
-  /// Eq. 3 aggregation charges each shard's 2^B - 1 table from this.
-  unsigned index_bits = 0;
 
   /// Bytes this step occupies on disk (payload only).
   [[nodiscard]] std::size_t stored_bytes() const noexcept {

@@ -4,9 +4,11 @@
 // global communication, but every shard pays for its own 2^B - 1 bin table
 // and learns only its local change distribution. ShardedCompressor
 // reproduces that trade-off on shared memory: the snapshot is split into
-// contiguous shards, each with an independent VariableCompressor, pushed
-// concurrently through the thread pool. The ext_sharding bench quantifies
-// the compression-ratio cost of locality against the single-table baseline.
+// contiguous shards, each with an independent VariableCompressor, and one
+// fork-join over the pool pushes them. Each shard's own stages fork-join on
+// the same pool from inside their chunk; their bytes do not depend on the
+// pool size. The ext_sharding bench quantifies the compression-ratio cost
+// of locality against the single-table baseline.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +34,8 @@ struct ShardedStep {
   /// Aggregate incompressible ratio across shards.
   [[nodiscard]] double incompressible_ratio() const;
 
-  /// Paper Eq. 3 accounting summed over shards (each shard charges its own
-  /// full 2^B - 1 table — the locality cost).
+  /// Paper Eq. 3 per shard (each shard charges its own full 2^B - 1 table —
+  /// the locality cost), averaged with the shards' point counts as weights.
   [[nodiscard]] double paper_compression_ratio() const;
 
   /// True when this is the first (lossless full) iteration.
@@ -47,6 +49,7 @@ class ShardedCompressor {
   explicit ShardedCompressor(const ShardedOptions& opts);
 
   /// Compresses the next snapshot; shards run concurrently on the pool.
+  /// May be called from inside a chunk of that same pool.
   /// Serialized by mu_: interleaving two push() calls would corrupt every
   /// shard's delta chain, so concurrent callers queue up instead.
   ShardedStep push(std::span<const double> snapshot) EXCLUDES(mu_);
@@ -58,12 +61,9 @@ class ShardedCompressor {
 
  private:
   ShardedOptions opts_;
-  /// Each shard's codec runs serially inside (like one MPI rank); the
-  /// cross-shard parallelism lives in push().
-  util::ThreadPool inner_pool_{1};
   /// Guards the stream state below. Within one push() the elements of
-  /// compressors_ are lent to pool workers one-per-shard (disjoint, never
-  /// aliased), which the analysis cannot express; the workers therefore
+  /// compressors_ are lent to pool chunks one-per-shard (disjoint, never
+  /// aliased), which the analysis cannot express; the chunks therefore
   /// receive raw element pointers captured while mu_ is held.
   mutable util::Mutex mu_;
   std::vector<VariableCompressor> compressors_ GUARDED_BY(mu_);

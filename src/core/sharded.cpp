@@ -1,10 +1,7 @@
 #include "numarck/core/sharded.hpp"
 
-#include <cmath>
-#include <exception>
-#include <future>
-
 #include "numarck/util/expect.hpp"
+#include "numarck/util/parallel_for.hpp"
 
 namespace numarck::core {
 
@@ -21,17 +18,14 @@ double ShardedStep::incompressible_ratio() const {
 
 double ShardedStep::paper_compression_ratio() const {
   if (point_count == 0 || is_full()) return 0.0;
-  double compressed_bits = 0.0;
+  // Each shard's Eq. 3 ratio (metrics::numarck_compression_ratio_percent,
+  // as its codec reported it) charges its own 2^B - 1 table; weighting them
+  // by shard size gives the ratio of the summed bit counts.
+  double weighted = 0.0;
   for (const auto& s : shard_steps) {
-    const auto& st = s.stats;
-    const double n = static_cast<double>(st.total_points);
-    const double gamma = st.incompressible_ratio();
-    const double bits = s.index_bits;
-    compressed_bits += (1.0 - gamma) * n * bits + gamma * n * 64.0 +
-                       (std::pow(2.0, bits) - 1.0) * 64.0;
+    weighted += static_cast<double>(s.point_count) * s.paper_ratio_pct;
   }
-  const double total_bits = static_cast<double>(point_count) * 64.0;
-  return (total_bits - compressed_bits) / total_bits * 100.0;
+  return weighted / static_cast<double>(point_count);
 }
 
 ShardedCompressor::ShardedCompressor(const ShardedOptions& opts) : opts_(opts) {
@@ -39,7 +33,7 @@ ShardedCompressor::ShardedCompressor(const ShardedOptions& opts) : opts_(opts) {
   opts_.codec.validate();
   compressors_.reserve(opts.shards);
   Options shard_codec = opts_.codec;
-  shard_codec.pool = &inner_pool_;  // inner stages run inline (see header)
+  shard_codec.pool = opts_.pool;  // inner stages nest on the shard fan-out
   for (std::size_t s = 0; s < opts.shards; ++s) {
     compressors_.emplace_back(shard_codec);
   }
@@ -64,30 +58,20 @@ ShardedStep ShardedCompressor::push(std::span<const double> snapshot) {
   out.point_count = snapshot.size();
   out.shard_steps.resize(compressors_.size());
 
+  // Hand each chunk raw pointers to its own shards' state, carved out under
+  // mu_; the chunk body itself touches no guarded member.
+  VariableCompressor* comps = compressors_.data();
+  const std::size_t* bounds = boundaries_.data();
+  CompressedStep* slots = out.shard_steps.data();
   auto& pool = opts_.pool ? *opts_.pool : util::ThreadPool::global();
-  std::vector<std::future<void>> futs;
-  futs.reserve(compressors_.size());
-  for (std::size_t s = 0; s < compressors_.size(); ++s) {
-    // Hand each worker raw pointers to its own shard's state, carved out
-    // under mu_; the lambda itself touches no guarded member.
-    VariableCompressor* comp = &compressors_[s];
-    const auto shard =
-        snapshot.subspan(boundaries_[s], boundaries_[s + 1] - boundaries_[s]);
-    CompressedStep* slot = &out.shard_steps[s];
-    futs.push_back(
-        pool.submit([comp, shard, slot] { *slot = comp->push(shard); }));
-  }
-  // Drain every shard before rethrowing (same discipline as parallel_chunks):
-  // unwinding while a worker still writes into `out` would be UB.
-  std::exception_ptr err;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!err) err = std::current_exception();
-    }
-  }
-  if (err) std::rethrow_exception(err);
+  util::parallel_chunks(
+      pool, util::ChunkPlan(0, compressors_.size(), pool.size(), 1),
+      [=](std::size_t, std::size_t s0, std::size_t s1) {
+        for (std::size_t s = s0; s < s1; ++s) {
+          slots[s] = comps[s].push(
+              snapshot.subspan(bounds[s], bounds[s + 1] - bounds[s]));
+        }
+      });
   return out;
 }
 

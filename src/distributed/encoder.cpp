@@ -6,6 +6,7 @@
 
 #include "numarck/cluster/distributed_kmeans.hpp"
 #include "numarck/core/change_ratio.hpp"
+#include "numarck/metrics/metrics.hpp"
 #include "numarck/util/expect.hpp"
 #include "numarck/util/parallel_for.hpp"
 
@@ -147,11 +148,8 @@ EncodeResult encode_iteration(mpisim::Communicator& comm,
 
   // Paper Eq. 3, table charged once.
   if (out.global_points > 0) {
-    const double bits = opts.index_bits;
-    const double table_bits = (std::pow(2.0, bits) - 1.0) * 64.0;
-    const double compressed = (1.0 - out.global_gamma) * n * bits +
-                              out.global_gamma * n * 64.0 + table_bits;
-    out.global_paper_ratio = (n * 64.0 - compressed) / (n * 64.0) * 100.0;
+    out.global_paper_ratio = metrics::numarck_compression_ratio_percent(
+        out.global_points, out.global_gamma, opts.index_bits);
   }
   return out;
 }

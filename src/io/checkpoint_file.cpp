@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "numarck/codec/codec.hpp"
-#include "numarck/io/buffer_pool.hpp"
 #include "numarck/io/container_scanner.hpp"
 #include "numarck/io/framed_writer.hpp"
 #include "numarck/util/crc32.hpp"
@@ -21,7 +20,7 @@ class CheckpointWriter::Impl {
   Impl(std::unique_ptr<ByteSink> sink,
        const std::vector<std::string>& variables, Durability durability)
       : vars_(variables), sink_(std::move(sink)), durability_(durability),
-        framed_(require_sink(sink_), shared_buffer_pool()) {
+        framed_(require_sink(sink_)) {
     NUMARCK_EXPECT(!variables.empty(), "checkpoint needs at least one variable");
     framed_.write_header(vars_);
   }

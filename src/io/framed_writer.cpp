@@ -10,8 +10,8 @@ namespace numarck::io {
 namespace {
 
 // Records up to this payload size are coalesced (header + payload + CRC)
-// into one pooled buffer and hit the sink as a single write; larger payloads
-// are written in place to avoid copying bulk data through the pool. The cut
+// into the scratch buffer and hit the sink as a single write; larger
+// payloads are written in place to avoid copying bulk data through it. The cut
 // only changes syscall granularity, never the byte stream — a FaultPlan's
 // crash point is byte-based, so torn-write tests see identical prefixes.
 constexpr std::size_t kCoalesceLimit = 64u << 10;
@@ -19,9 +19,9 @@ constexpr std::size_t kCoalesceLimit = 64u << 10;
 template <typename T>
 void append(std::vector<std::uint8_t>& buf, T v) {
   static_assert(std::is_trivially_copyable_v<T>);
-  std::uint8_t raw[sizeof(T)];
-  std::memcpy(raw, &v, sizeof(T));
-  buf.insert(buf.end(), raw, raw + sizeof(T));
+  const std::size_t at = buf.size();
+  buf.resize(at + sizeof(T));
+  std::memcpy(buf.data() + at, &v, sizeof(T));
 }
 
 void append_varint(std::vector<std::uint8_t>& buf, std::uint64_t v) {
@@ -40,8 +40,8 @@ void FramedWriter::write_raw(const void* data, std::size_t size) {
 }
 
 void FramedWriter::write_header(const std::vector<std::string>& variables) {
-  BufferPool::Lease lease = pool_.acquire();
-  std::vector<std::uint8_t>& buf = lease.buffer();
+  std::vector<std::uint8_t>& buf = scratch_;
+  buf.clear();
   append(buf, kContainerMagic);
   append(buf, kContainerVersion);
   append_varint(buf, variables.size());
@@ -57,8 +57,8 @@ void FramedWriter::write_record(std::size_t var_id, std::size_t iteration,
                                 double sim_time,
                                 std::span<const std::uint8_t> payload) {
   const std::uint32_t crc = util::crc32(payload.data(), payload.size());
-  BufferPool::Lease lease = pool_.acquire();
-  std::vector<std::uint8_t>& buf = lease.buffer();
+  std::vector<std::uint8_t>& buf = scratch_;
+  buf.clear();
   append(buf, kRecordMarker);
   append_varint(buf, var_id);
   append_varint(buf, iteration);

@@ -1,10 +1,12 @@
-// Serializes NUMARCK container framing (docs/FORMAT.md §1) into pooled
-// buffers and pushes it to a ByteSink — the single write-side implementation
-// of the format, shared by CheckpointWriter, store::CheckpointStore puts and
-// compactions, and the distributed shard writers. The byte stream it
-// produces is identical to the historical per-append ByteWriter path; only
-// the allocation behavior (reused BufferPool leases) and the syscall count
-// (small records coalesce header + payload + CRC into one write) changed.
+// Serializes NUMARCK container framing (docs/FORMAT.md §1) into one
+// reusable scratch buffer and pushes it to a ByteSink — the single
+// write-side implementation of the format, behind CheckpointWriter (and so
+// store::CheckpointStore puts and compactions and the distributed shard
+// writers). The byte stream it produces is identical to the historical
+// per-append ByteWriter path; only the allocation behavior (the scratch
+// buffer keeps its capacity across records) and the syscall count (small
+// records coalesce header + payload + CRC into one write) changed. One
+// writer serves one sink from one thread at a time.
 //
 // The writer frames; it does not police. Variable-name lookup, codec
 // registration, and close/durability policy stay with CheckpointWriter —
@@ -18,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "numarck/io/buffer_pool.hpp"
 #include "numarck/io/container_format.hpp"
 #include "numarck/io/durable_file.hpp"
 
@@ -26,10 +27,9 @@ namespace numarck::io {
 
 class FramedWriter {
  public:
-  /// Frames onto `sink`, borrowing scratch space from `pool`. Both must
-  /// outlive the writer; the sink's close/sync remain the caller's job.
-  explicit FramedWriter(ByteSink& sink, BufferPool& pool = shared_buffer_pool())
-      : sink_(sink), pool_(pool) {}
+  /// Frames onto `sink`, which must outlive the writer; the sink's
+  /// close/sync remain the caller's job.
+  explicit FramedWriter(ByteSink& sink) : sink_(sink) {}
 
   FramedWriter(const FramedWriter&) = delete;
   FramedWriter& operator=(const FramedWriter&) = delete;
@@ -49,7 +49,7 @@ class FramedWriter {
   void write_raw(const void* data, std::size_t size);
 
   ByteSink& sink_;
-  BufferPool& pool_;
+  std::vector<std::uint8_t> scratch_;  ///< one record's framing; reused
   std::uint64_t bytes_ = 0;
 };
 

@@ -48,16 +48,13 @@ std::array<double, 3> BlockMesh::cell_center(std::size_t b, std::size_t i,
 
 void BlockMesh::for_each_block(const std::function<void(std::size_t)>& fn) {
   auto& tp = pool_ ? *pool_ : ThreadPool::global();
-  if (tp.size() <= 1 || blocks_.size() <= 1) {
-    for (std::size_t b = 0; b < blocks_.size(); ++b) fn(b);
-    return;
-  }
-  std::vector<std::future<void>> futs;
-  futs.reserve(blocks_.size());
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    futs.push_back(tp.submit([&fn, b] { fn(b); }));
-  }
-  for (auto& f : futs) f.get();
+  // Grain 1: a block is already a large unit of work, so small meshes
+  // still spread one block per chunk across the pool.
+  numarck::util::parallel_chunks(
+      tp, numarck::util::ChunkPlan(0, blocks_.size(), tp.size(), 1),
+      [&fn](std::size_t, std::size_t b0, std::size_t b1) {
+        for (std::size_t b = b0; b < b1; ++b) fn(b);
+      });
 }
 
 void BlockMesh::fill_guards() {

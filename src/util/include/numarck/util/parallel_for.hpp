@@ -2,9 +2,9 @@
 //
 // ChunkPlan splits [begin, end) into contiguous chunks (MPI-style block
 // decomposition, oversubscribed beyond the worker count for load balancing).
-// parallel_for / parallel_for_chunked / parallel_chunks execute a plan as one
-// ThreadPool::fork_join: the caller claims chunks alongside the helpers it
-// posts and returns when every chunk finished. parallel_reduce additionally
+// parallel_chunks executes a plan as one ThreadPool::fork_join, the pool's
+// only entry point: the caller claims chunks alongside the helpers it posts
+// and returns when every chunk finished. parallel_reduce additionally
 // combines per-chunk partial results with a user-supplied binary op in chunk
 // order — the shared-memory analogue of MPI_Allreduce, deterministic for a
 // fixed pool size. block_reduce does the same over a partition that does not
@@ -16,10 +16,9 @@
 // never write the same element. A `body` that touches shared state beyond
 // its [i0, i1) slice must bring its own annotated Mutex. A body may call
 // these helpers again on the pool it runs in (the caller of a fork-join
-// only waits on chunks a running thread has claimed), but it must never
-// block on a ThreadPool::submit future of that pool: the queued task may
-// have no free worker to run it. When chunks throw, the exception of the
-// lowest chunk index is rethrown after every chunk has finished.
+// only waits on chunks a running thread has claimed). When chunks throw,
+// the exception of the lowest chunk index is rethrown after every chunk
+// has finished.
 #pragma once
 
 #include <algorithm>
@@ -114,25 +113,6 @@ void parallel_chunks(ThreadPool& pool, const ChunkPlan& plan, Body&& body) {
         self.body(c, i0, i1);
       },
       &call);
-}
-
-/// Invokes body(i0, i1) on disjoint subranges covering [begin, end).
-/// Runs inline when the range is small or the pool has one worker.
-template <typename Body>
-void parallel_for_chunked(ThreadPool& pool, std::size_t begin, std::size_t end,
-                          Body&& body) {
-  parallel_chunks(pool, ChunkPlan(begin, end, pool.size()),
-                  [&body](std::size_t, std::size_t i0, std::size_t i1) {
-                    body(i0, i1);
-                  });
-}
-
-/// Element-wise convenience wrapper: body(i) per index.
-template <typename Body>
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end, Body&& body) {
-  parallel_for_chunked(pool, begin, end, [&body](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) body(i);
-  });
 }
 
 /// Chunked reduction: `partial(i0, i1) -> T` computed per chunk into its own

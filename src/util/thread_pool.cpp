@@ -12,15 +12,13 @@
 
 namespace numarck::util {
 
-namespace {
-
 /// The state one fork_join call shares with its helpers. It lives on the
 /// heap and counts its references: a helper that the queue hands out after
 /// the caller has returned still finds a live job, with no chunk left to
 /// claim, so it never touches the caller's (gone) context.
-class ForkJoinJob {
+class ThreadPool::Job {
  public:
-  ForkJoinJob(std::size_t chunks, ThreadPool::ChunkFn run, void* ctx)
+  Job(std::size_t chunks, ChunkFn run, void* ctx)
       : chunks_(static_cast<std::uint32_t>(chunks)), run_(run), ctx_(ctx) {}
 
   void add_refs(std::size_t n) noexcept {
@@ -65,7 +63,7 @@ class ForkJoinJob {
 
  private:
   const std::uint32_t chunks_;
-  const ThreadPool::ChunkFn run_;
+  const ChunkFn run_;
   void* const ctx_;
   std::atomic<std::uint32_t> next_{0};
   std::atomic<std::uint32_t> done_{0};  // 32-bit: waits on a plain futex
@@ -74,6 +72,8 @@ class ForkJoinJob {
   std::exception_ptr err_ GUARDED_BY(err_mu_);
   std::uint32_t err_chunk_ GUARDED_BY(err_mu_) = 0;
 };
+
+namespace {
 
 /// Bumped in the child of every fork(): fork copies only the calling
 /// thread, so a pool built before it has no workers there.
@@ -109,17 +109,18 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
+    Job* job = nullptr;
     {
       UniqueLock lk(mu_);
       while (!stopping_ && queue_.empty()) cv_.wait(lk.native());
-      // Drain-before-exit: tasks enqueued before stopping_ was set still
-      // run, so every future submit() handed out gets satisfied.
+      // Exit only on an empty queue: every post holds a job reference,
+      // which only running the post drops.
       if (queue_.empty()) return;
-      task = std::move(queue_.front());
+      job = queue_.front();
       queue_.pop_front();
     }
-    task();  // submit's packaged_task and fork_join's job catch everything
+    job->work();  // catches everything a chunk throws
+    job->release();
   }
 }
 
@@ -127,19 +128,14 @@ void ThreadPool::fork_join(std::size_t chunks, ChunkFn run, void* ctx) {
   if (chunks == 0) return;
   NUMARCK_EXPECT(chunks <= std::numeric_limits<std::uint32_t>::max(),
                  "fork_join: too many chunks");
-  auto* job = new ForkJoinJob(chunks, run, ctx);
+  auto* job = new Job(chunks, run, ctx);
   const std::size_t want = std::min(size(), chunks - 1);
   std::size_t posted = 0;
   if (forks_ == g_forks.load(std::memory_order_relaxed)) {
     MutexLock lk(mu_);
     if (!stopping_) {
       try {
-        for (; posted < want; ++posted) {
-          queue_.emplace_back([job] {
-            job->work();
-            job->release();
-          });
-        }
+        for (; posted < want; ++posted) queue_.push_back(job);
       } catch (...) {
         // Out of memory for the queue: fewer helpers, the caller runs the
         // rest. Nothing posted can run before the lock drops.

@@ -1,7 +1,7 @@
 // Streaming I/O layer tests: ByteSource implementations, the incremental
 // ContainerScanner's chunk-independence contract (docs/FORMAT.md §10 — the
 // event sequence must be identical for EVERY chunking of the same stream),
-// the pooled FramedWriter's byte-identity with the historical framing, and
+// the FramedWriter's byte-identity with the historical framing, and
 // the zero-copy guarantee of the span-backed CheckpointReader.
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "numarck/core/compressor.hpp"
-#include "numarck/io/buffer_pool.hpp"
 #include "numarck/io/byte_source.hpp"
 #include "numarck/io/checkpoint_file.hpp"
 #include "numarck/io/container_scanner.hpp"
@@ -437,43 +436,6 @@ TEST(ByteSourceTest, ReaderOverFaultySourceSurfacesLoadFailure) {
 }
 
 // ---------------------------------------------------------------------------
-// BufferPool.
-
-TEST(BufferPoolTest, LeasesArriveEmptyAndRetainCapacity) {
-  nio::BufferPool pool(2, 1u << 20);
-  EXPECT_EQ(pool.idle(), 0u);
-  {
-    auto lease = pool.acquire();
-    lease.buffer().resize(5000);
-  }
-  EXPECT_EQ(pool.idle(), 1u);
-  auto lease = pool.acquire();
-  EXPECT_EQ(pool.idle(), 0u);
-  EXPECT_TRUE(lease.buffer().empty());           // cleared on return…
-  EXPECT_GE(lease.buffer().capacity(), 5000u);  // …but the allocation lives on
-}
-
-TEST(BufferPoolTest, PoolDropsBeyondCaps) {
-  nio::BufferPool pool(1, 100);
-  {
-    auto a = pool.acquire();
-    auto b = pool.acquire();
-    a.buffer().resize(10);
-    b.buffer().resize(10);
-  }
-  EXPECT_EQ(pool.idle(), 1u);  // max_buffers=1: the second return is dropped
-  {
-    auto big = pool.acquire();  // takes the parked buffer out again
-    big.buffer().resize(4096);  // grows it past max_retained_bytes
-  }
-  EXPECT_EQ(pool.idle(), 0u);  // the oversized buffer was not parked
-}
-
-TEST(BufferPoolTest, SharedPoolIsAProcessSingleton) {
-  EXPECT_EQ(&nio::shared_buffer_pool(), &nio::shared_buffer_pool());
-}
-
-// ---------------------------------------------------------------------------
 // FramedWriter: byte-identity with the historical hand-built framing.
 
 TEST(FramedWriterTest, MatchesHandBuiltFramingByteForByte) {
@@ -489,8 +451,7 @@ TEST(FramedWriterTest, MatchesHandBuiltFramingByteForByte) {
   std::vector<std::uint8_t> got;
   {
     VectorSink sink(got);
-    nio::BufferPool pool;
-    nio::FramedWriter writer(sink, pool);
+    nio::FramedWriter writer(sink);
     writer.write_header({"rho", "vel"});
     writer.write_record(0, 0, nio::RecordType::kFull, 1, 0.25, small);
     writer.write_record(1, 3, nio::RecordType::kDelta, 0, 1.5, large);
@@ -524,7 +485,7 @@ TEST(FramedWriterTest, OutputParsesBackThroughTheScanner) {
   std::vector<std::uint8_t> bytes;
   {
     VectorSink sink(bytes);
-    nio::FramedWriter writer(sink);  // shared pool default
+    nio::FramedWriter writer(sink);
     writer.write_header({"x"});
     const std::vector<std::uint8_t> payload = {1, 2, 3};
     writer.write_record(0, 0, nio::RecordType::kFull, 1, 0.0, payload);

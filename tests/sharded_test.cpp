@@ -2,12 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "numarck/core/sharded.hpp"
 #include "numarck/metrics/metrics.hpp"
 #include "numarck/util/expect.hpp"
 #include "numarck/util/rng.hpp"
+#include "numarck/util/thread_pool.hpp"
+#include "pool_nesting.hpp"
 
 namespace nk = numarck::core;
 
@@ -125,4 +128,44 @@ TEST(Sharded, ReconstructorRejectsShardCountChange) {
   rec.push(a.push(snapshot(900, 0.0)));
   const auto other = b.push(snapshot(900, 0.0));
   EXPECT_THROW(rec.push(other), numarck::ContractViolation);
+}
+
+TEST(Sharded, StepsAreBitIdenticalAcrossPoolSizes) {
+  // Shards and their inner stages share the pool; neither may let the pool
+  // size reach a stored byte. 12,000 points per shard is enough for the
+  // inner stages to split into chunks of their own.
+  std::vector<std::vector<std::vector<std::uint8_t>>> reference;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    numarck::util::ThreadPool pool(workers);
+    auto opts = options(3);
+    opts.pool = &pool;
+    nk::ShardedCompressor comp(opts);
+    std::vector<std::vector<std::vector<std::uint8_t>>> payloads;
+    for (int it = 0; it < 3; ++it) {
+      const auto step = comp.push(snapshot(36000, it * 0.3));
+      payloads.emplace_back();
+      for (const auto& s : step.shard_steps) {
+        payloads.back().push_back(s.payload);
+      }
+    }
+    if (reference.empty()) {
+      reference = payloads;
+    } else {
+      EXPECT_EQ(payloads, reference) << "workers=" << workers;
+    }
+  }
+}
+
+TEST(Sharded, PushInsideAChunkOfItsOwnPoolFinishes) {
+  // Every thread of a 2-worker pool holds a chunk, and each pushes through
+  // a compressor on that same pool: the push must not wait on pool work
+  // that no free thread can run.
+  numarck::test_support::expect_finishes_inside_every_chunk(
+      2,
+      [](numarck::util::ThreadPool& pool) {
+        auto opts = options(2);
+        opts.pool = &pool;
+        nk::ShardedCompressor comp(opts);
+        for (int it = 0; it < 2; ++it) (void)comp.push(snapshot(20000, it));
+      });
 }

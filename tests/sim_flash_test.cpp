@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 
 #include "numarck/sim/flash/simulator.hpp"
 #include "numarck/util/expect.hpp"
+#include "numarck/util/thread_pool.hpp"
+#include "pool_nesting.hpp"
 
 namespace nf = numarck::sim::flash;
 
@@ -232,6 +235,41 @@ TEST(Hydro, SedovBlastExpandsOutward) {
   double ke = 0;
   for (double v : sim.snapshot("velx")) ke += v * v;
   EXPECT_GT(ke, 0.0);
+}
+
+TEST(Hydro, StateIsBitIdenticalAcrossPoolSizes) {
+  // Blocks are independent within a sweep and compute_dt reduces per-block
+  // slots in block order, so the pool size must not reach any value.
+  std::map<std::string, std::vector<double>> reference;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    numarck::util::ThreadPool pool(workers);
+    nf::Simulator sim(small_config(nf::Problem::kSedov), &pool);
+    for (int s = 0; s < 4; ++s) sim.step();
+    const auto state = sim.snapshot_all();
+    if (reference.empty()) {
+      reference = state;
+      continue;
+    }
+    for (const auto& [name, values] : state) {
+      const auto& want = reference.at(name);
+      ASSERT_EQ(values.size(), want.size());
+      EXPECT_EQ(std::memcmp(values.data(), want.data(),
+                            values.size() * sizeof(double)),
+                0)
+          << name << " workers=" << workers;
+    }
+  }
+}
+
+TEST(Hydro, StepInsideAChunkOfItsOwnPoolFinishes) {
+  // Every thread of a 2-worker pool holds a chunk, and each steps a
+  // simulator whose mesh runs on that same pool.
+  numarck::test_support::expect_finishes_inside_every_chunk(
+      2,
+      [](numarck::util::ThreadPool& pool) {
+        nf::Simulator sim(small_config(nf::Problem::kSedov), &pool);
+        for (int s = 0; s < 2; ++s) sim.step();
+      });
 }
 
 TEST(Hydro, SodShockMovesRight) {

@@ -9,13 +9,13 @@
 #include <csignal>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <numeric>
 #include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "numarck/util/bitpack.hpp"
@@ -31,110 +31,14 @@ namespace nu = numarck::util;
 
 // ------------------------------------------------------------ ThreadPool --
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  nu::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  auto f = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-}
-
 TEST(ThreadPool, DefaultsToHardwareConcurrency) {
   nu::ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  nu::ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ExecutesManyTasksExactlyOnce) {
-  nu::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 1000; ++i) {
-    futs.push_back(pool.submit([&count] { count.fetch_add(1); }));
-  }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, ForwardsArguments) {
-  nu::ThreadPool pool(2);
-  auto f = pool.submit([](int a, int b) { return a * b; }, 6, 7);
-  EXPECT_EQ(f.get(), 42);
+  EXPECT_EQ(nu::ThreadPool(3).size(), 3u);
 }
 
 TEST(ThreadPool, GlobalPoolIsSingleton) {
   EXPECT_EQ(&nu::ThreadPool::global(), &nu::ThreadPool::global());
-}
-
-// Shutdown semantics: a submit() racing the destructor must either enqueue
-// the task (whose future is then satisfied — the destructor drains the queue
-// before the workers exit) or throw std::runtime_error. It must never
-// deadlock or drop an accepted task. The only way to race submit against the
-// destructor without a use-after-free is from inside worker tasks: the
-// destructor joins the workers, so the pool outlives every task body.
-// Exercised under TSan in CI.
-TEST(ThreadPool, SubmitRacingDestructionThrowsOrCompletes) {
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<int> completed{0};
-    std::atomic<int> accepted{0};
-    std::atomic<int> rejected{0};
-    nu::ThreadPool* ppool = nullptr;
-    // Declared before the pool so it outlives the destructor's final drain.
-    std::function<void(int)> spawn = [&](int depth) {
-      completed.fetch_add(1);
-      if (depth == 0) return;
-      try {
-        (void)ppool->submit([&spawn, depth] { spawn(depth - 1); });
-        accepted.fetch_add(1);
-      } catch (const std::runtime_error&) {
-        rejected.fetch_add(1);  // pool is stopping: the documented outcome
-      }
-    };
-    {
-      nu::ThreadPool pool(3);
-      ppool = &pool;
-      for (int i = 0; i < 8; ++i) {
-        (void)pool.submit([&spawn] { spawn(64); });
-      }
-      // Destructor runs here, racing the re-submission chains.
-    }
-    // Every accepted task ran: the 8 seeds plus each accepted re-submission.
-    EXPECT_EQ(completed.load(), 8 + accepted.load())
-        << "an accepted task was dropped during shutdown (rejected="
-        << rejected.load() << ")";
-  }
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasksBeforeJoin) {
-  std::atomic<int> ran{0};
-  {
-    nu::ThreadPool pool(2);
-    for (int i = 0; i < 128; ++i) {
-      (void)pool.submit([&ran] { ran.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(ran.load(), 128);
-}
-
-TEST(ThreadPool, DestructorDrainsSlowTasksWithoutDropping) {
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futs;
-  {
-    nu::ThreadPool pool(3);
-    for (int i = 0; i < 32; ++i) {
-      futs.push_back(pool.submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ran.fetch_add(1);
-      }));
-    }
-    // Destroy while most tasks are still queued.
-  }
-  for (auto& f : futs) f.get();  // must all be satisfied, never block forever
-  EXPECT_EQ(ran.load(), 32);
 }
 
 TEST(ThreadPool, ForkJoinRunsOnTheCallerInAForkedChild) {
@@ -185,30 +89,49 @@ TEST(ThreadPool, ForkJoinRunsOnTheCallerInAForkedChild) {
 // ----------------------------------------------------------- parallel_for --
 
 TEST(ParallelFor, CoversEveryIndexOnce) {
+  // Grain 1, fewer items than chunks the pool could take: one item per
+  // chunk, the shape of the per-block and per-shard fan-outs.
   nu::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(20000);
-  nu::parallel_for(pool, 0, hits.size(),
-                   [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 64u}) {
+    std::vector<std::atomic<int>> hits(n);
+    nu::parallel_chunks(pool, nu::ChunkPlan(0, n, pool.size(), 1),
+                        [&](std::size_t, std::size_t i0, std::size_t i1) {
+                          for (std::size_t i = i0; i < i1; ++i) {
+                            hits[i].fetch_add(1);
+                          }
+                        });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "n=" << n;
+  }
 }
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
   nu::ThreadPool pool(2);
   bool called = false;
-  nu::parallel_for(pool, 5, 5, [&](std::size_t) { called = true; });
+  nu::parallel_chunks(pool, nu::ChunkPlan(5, 5, pool.size()),
+                      [&](std::size_t, std::size_t, std::size_t) {
+                        called = true;
+                      });
   EXPECT_FALSE(called);
 }
 
 TEST(ParallelFor, ChunkedCoversRangeWithDisjointChunks) {
+  // An offset range: chunk c gets exactly plan.bounds(c), and the chunks
+  // tile [begin, end) with no overlap.
   nu::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(50000);
-  nu::parallel_for_chunked(pool, 0, hits.size(),
-                           [&](std::size_t i0, std::size_t i1) {
-                             for (std::size_t i = i0; i < i1; ++i) {
-                               hits[i].fetch_add(1);
-                             }
-                           });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  const std::size_t begin = 123;
+  const std::size_t end = begin + 50000;
+  const nu::ChunkPlan plan(begin, end, pool.size());
+  std::vector<std::atomic<int>> hits(end);
+  nu::parallel_chunks(pool, plan,
+                      [&](std::size_t c, std::size_t i0, std::size_t i1) {
+                        EXPECT_EQ(plan.bounds(c), std::make_pair(i0, i1));
+                        for (std::size_t i = i0; i < i1; ++i) {
+                          hits[i].fetch_add(1);
+                        }
+                      });
+  for (std::size_t i = 0; i < end; ++i) {
+    EXPECT_EQ(hits[i].load(), i < begin ? 0 : 1) << i;
+  }
 }
 
 TEST(ChunkPlan, OversubscribesForLoadBalancing) {

@@ -210,16 +210,15 @@ FaultTrialOutcome run_fault_trial(const FaultTrialSpec& spec,
 
   auto plan = std::make_shared<io::FaultPlan>();
   plan->only_paths_ending(spec.path_suffix);
-  if (!spec.may_finish || total > 32) {
+  if (!spec.allow_uninjected || total > 32) {
     NUMARCK_EXPECT(total > 32, "crash trial writes implausibly few bytes");
     out.crash_point = 16 + rng.bounded(static_cast<std::uint32_t>(total - 16));
     plan->crash_at(out.crash_point, spec.death);
   }
-  const FaultTrialSpec::Run& run = spec.run_faulty ? spec.run_faulty : spec.run;
   spec.reset();
   if (spec.death == io::FaultPlan::Death::kThrow) {
     try {
-      run(io::faulty_files(plan), [&out] { ++out.acked; });
+      spec.run(io::faulty_files(plan), [&out] { ++out.acked; });
     } catch (const io::InjectedCrash&) {
       out.crash_fired = true;
     }
@@ -229,7 +228,7 @@ FaultTrialOutcome run_fault_trial(const FaultTrialSpec& spec,
     if (pid == 0) {
       try {
         io::FileSink ack(spec.ack_path);
-        run(io::faulty_files(plan), [&ack] {
+        spec.run(io::faulty_files(plan), [&ack] {
           const char byte = '+';
           ack.write(&byte, 1);
         });
@@ -250,7 +249,7 @@ FaultTrialOutcome run_fault_trial(const FaultTrialSpec& spec,
       out.acked = static_cast<std::size_t>(st.st_size);
     }
   }
-  if (!out.crash_fired && !spec.may_finish) {
+  if (out.crash_point != 0 && !out.crash_fired) {
     out.failure = "crash budget was never exhausted";
   }
   return out;

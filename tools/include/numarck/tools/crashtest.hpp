@@ -86,19 +86,17 @@ struct FaultTrialSpec {
   /// Only files whose path ends in this are counted and torn (empty: all).
   std::string path_suffix;
   std::string ack_path;
-  /// The faulty run may finish without reaching its budget (its write
-  /// stream depends on thread timing), and a sizing count too small to
-  /// tear runs it uninjected; otherwise both fail the trial.
-  bool may_finish = false;
+  /// A sizing count too small to tear runs the faulty run uninjected;
+  /// otherwise it fails the trial.
+  bool allow_uninjected = false;
   /// Resets the trial's files; runs before the sizing and the faulty run.
   std::function<void()> reset;
   using Run = std::function<void(const io::SinkFactory& files,
                                  const std::function<void()>& ack)>;
   /// The workload: opens every file through `files` and calls `ack` after
-  /// each operation that returned. Runs both the sizing and the faulty run
-  /// unless `run_faulty` is set.
+  /// each operation that returned. Runs both the sizing and the faulty
+  /// run, so it must write the same byte stream each time.
   Run run;
-  Run run_faulty;
 };
 
 struct FaultTrialOutcome {

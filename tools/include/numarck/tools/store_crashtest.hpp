@@ -23,8 +23,8 @@
 //   * sigkill   — a forked child SIGKILLs itself mid-operation, reporting
 //                 acknowledged operations through an append-only ack log;
 //   * compactor — the budget is scoped to standalone-merge writes
-//                 (*.epoch.nck.tmp), so the kill lands in the background
-//                 compactor thread (or a prune's chain rewrite) specifically.
+//                 (*.epoch.nck.tmp), so the kill lands in a compaction
+//                 merge (or a prune's chain rewrite) specifically.
 #pragma once
 
 #include <cstddef>
@@ -68,9 +68,11 @@ StoreCrashTrialResult run_store_throw_trial(const StoreCrashTrialConfig& cfg);
 /// operations recovered post-mortem from the child's ack log.
 StoreCrashTrialResult run_store_sigkill_trial(const StoreCrashTrialConfig& cfg);
 
-/// Background-compactor trial: the child runs the schedule with the
-/// compactor thread live (1 ms scan interval) and the crash budget scoped to
-/// standalone-merge writes, so SIGKILL strikes mid-compaction.
+/// Compactor trial: the child runs the schedule with the compaction merges
+/// a background compactor would make between operations, at points drawn
+/// from the seed, and the crash budget scoped to standalone-merge writes,
+/// so SIGKILL strikes mid-compaction. The merges run on the calling thread,
+/// so a seed replays exactly.
 StoreCrashTrialResult run_store_compactor_trial(
     const StoreCrashTrialConfig& cfg);
 

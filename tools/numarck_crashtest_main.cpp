@@ -7,8 +7,8 @@
 // mid-checkpoint and verify that restart recovers exactly the last globally
 // complete iteration within the error bound. The store mode drives a
 // seed-replayable put/promote/prune/compact schedule against a tiered
-// CheckpointStore and kills the process (or its background compactor) at a
-// random byte budget, verifying that the reopen recovers, every acknowledged
+// CheckpointStore and kills the process (or one of its compaction merges)
+// at a random byte budget, verifying that the reopen recovers, every acknowledged
 // checkpoint restores bit-exactly, and the manifest never references a
 // missing file. Exits non-zero when any trial's contract is violated.
 #include <unistd.h>
@@ -47,7 +47,7 @@ const char* store_mode_name(int m) {
   }
 }
 
-/// The store campaign: rotates throw / sigkill / background-compactor death.
+/// The store campaign: rotates throw / sigkill / compaction-merge death.
 int run_store_campaign(std::size_t trials, std::uint64_t seed,
                        const std::string& base) {
   numarck::tools::StoreCrashTrialConfig cfg;

@@ -1,6 +1,5 @@
 #include "numarck/tools/store_crashtest.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -276,38 +275,40 @@ void prepare_store_dir(const StoreCrashTrialConfig& cfg) {
 }
 
 /// The store half of the shared skeleton: every trial resets `cfg.dir` to
-/// an empty store, runs the schedule through the plan's files (with the
-/// background compactor live when `compactor`), then verifies the reopen.
+/// an empty store, runs the schedule through the plan's files, then
+/// verifies the reopen. With `compactor`, the calling thread makes the
+/// merges a background compactor would make: every eligible merge after
+/// each operation the trial's seed stream picks, and after the last one.
+/// The sizing and the faulty run then write the same merge stream.
 StoreCrashTrialResult run_store_trial(const StoreCrashTrialConfig& cfg,
                                       FaultTrialSpec spec,
                                       std::uint64_t stream, bool compactor) {
   const StorePlan plan = make_plan(cfg);
+  util::Pcg32 rng(cfg.seed, stream);
+  std::vector<bool> merge_after(plan.ops.size(), false);
+  if (compactor) {
+    for (std::size_t j = 0; j < merge_after.size(); ++j) {
+      merge_after[j] = rng.bounded(2) == 0;
+    }
+  }
   spec.ack_path = cfg.dir + ".ack";
   spec.reset = [&cfg] { prepare_store_dir(cfg); };
-  const auto run = [&](const io::SinkFactory& files,
-                       const std::function<void()>& ack, bool background) {
+  spec.run = [&](const io::SinkFactory& files,
+                 const std::function<void()>& ack) {
     store::StoreOptions opts = plain_store_options(cfg);
     opts.sink_factory = files;
-    opts.compact_interval = std::chrono::milliseconds(1);
     store::CheckpointStore s(cfg.dir, opts);
-    if (background) s.start_compactor();
-    run_ops(s, plan, ack);
-    if (!background) return;
-    s.stop_compactor();
-    // Drain the remaining merge work on this thread so a live budget is
-    // always exhausted even when the background thread lost every race.
-    while (s.compact_once()) {
-    }
-  };
-  spec.run = [&](const io::SinkFactory& files,
-                 const std::function<void()>& ack) { run(files, ack, false); };
-  if (compactor) {
-    spec.run_faulty = [&](const io::SinkFactory& files,
-                          const std::function<void()>& ack) {
-      run(files, ack, true);
+    const auto merge = [&s] {
+      while (s.compact_once()) {
+      }
     };
-  }
-  util::Pcg32 rng(cfg.seed, stream);
+    std::size_t done = 0;
+    run_ops(s, plan, [&] {
+      ack();
+      if (merge_after[done++]) merge();
+    });
+    if (compactor) merge();
+  };
   const FaultTrialOutcome trial = run_fault_trial(spec, rng);
   StoreCrashTrialResult out;
   out.crash_point = trial.crash_point;
@@ -342,11 +343,11 @@ StoreCrashTrialResult run_store_sigkill_trial(const StoreCrashTrialConfig& cfg) 
 StoreCrashTrialResult run_store_compactor_trial(
     const StoreCrashTrialConfig& cfg) {
   // Only standalone-merge writes count and tear; with too little merge work
-  // in the schedule the trial still runs, uninjected, to exercise the thread.
+  // in the schedule the trial still runs, uninjected.
   FaultTrialSpec spec;
   spec.death = io::FaultPlan::Death::kSigkill;
   spec.path_suffix = ".epoch.nck.tmp";
-  spec.may_finish = true;
+  spec.allow_uninjected = true;
   return run_store_trial(cfg, spec, 0xc09ac7u, /*compactor=*/true);
 }
 
