@@ -20,14 +20,17 @@
 //    grid of H bins and keeps only the m <= min(n, H) populated bins
 //    (per-bin population, Σx and Σx², see WeightedHistogram). The fold is a
 //    stable counting sort by bin index with one offsets array of H + 1
-//    entries. Lloyd then runs over the populated bins via prefix sums: each
-//    round costs O(k log m), plus O(m + k) in a round where a cluster is
-//    empty and must be reseeded. Small learn sets are the common case: a
-//    Sedov-blast snapshot gives about 1,200 ratios that fill about 140 of
-//    the H = 16,320 bins at B = 8 — fewer populated bins than k = 255
-//    clusters — so a cluster is always empty, every round reseeds and Lloyd
-//    runs all its rounds; with the cost tied to m rather than H those rounds
-//    stay cheap.
+//    entries. When the m populated bins fit in k clusters, each bin is its
+//    own cluster, centered on its mean: that partition has zero error
+//    between bins, so it is the optimum at bin granularity, and no Lloyd
+//    round runs (iterations = 0, converged); the bin means must ascend
+//    strictly, and if FP rounding breaks that, Lloyd runs. Small learn sets
+//    are the common case: a Sedov-blast snapshot gives about 1,200 ratios
+//    that fill about 140 of the H = 16,320 bins at B = 8, fewer than
+//    k = 255. Lloyd from quantile seeds would only approach the per-bin
+//    answer, reseeding an empty cluster every round. Otherwise (m > k) Lloyd runs over the populated
+//    bins via prefix sums: each round places the cuts in one O(m + k) walk,
+//    plus O(m + k) in a round where a cluster is empty and must be reseeded.
 //    Exactness bound: with bin width w = (max−min)/H, a bin's points are
 //    within w/2 of its center, so the bin-granular assignment picks for every
 //    point a centroid at most w farther than its true nearest; it can differ
@@ -50,8 +53,8 @@ namespace numarck::cluster {
 
 enum class KMeansEngine : std::uint8_t {
   kSortedBoundary,   ///< O(n log n) once + O(k log n) per iteration, exact
-  kHistogramLloyd,   ///< O(n + H) once + O(k log m) per iteration (m populated
-                     ///< bins), resolution-bounded
+  kHistogramLloyd,   ///< O(n + H) once + O(m + k) per iteration (m populated
+                     ///< bins; none when m <= k), resolution-bounded
 };
 
 enum class KMeansInit : std::uint8_t {
@@ -93,9 +96,12 @@ struct KMeansResult {
 /// paths both size their grid here.
 std::size_t resolve_histogram_bins(const KMeansOptions& opts);
 
-/// Runs K-means over xs. Handles n < k by returning one centroid per distinct
-/// value. Empty clusters are reseeded once to the point farthest from its
-/// centroid; clusters still empty at convergence are dropped from the result.
+/// Runs K-means over xs. kSortedBoundary handles n < k by returning one
+/// centroid per distinct value; kHistogramLloyd returns one centroid per
+/// populated bin whenever those bins fit in k (n < k included), with
+/// iterations = 0. Empty clusters are reseeded once per round to the point
+/// (bin center) farthest from its centroid; clusters still empty at
+/// convergence are dropped from the result.
 KMeansResult kmeans1d(std::span<const double> xs, const KMeansOptions& opts);
 
 /// Index of the nearest centroid (centroids must be sorted ascending and
@@ -135,9 +141,10 @@ WeightedHistogram weighted_histogram(std::span<const double> xs,
                                      numarck::util::ThreadPool* pool = nullptr);
 
 /// Weighted Lloyd over a prebuilt histogram: the kHistogramLloyd iteration
-/// (density-quantile seeding from the bin masses, then opts.max_iterations
-/// Lloyd steps over the populated bins) after an O(H) pass that drops the
-/// empty bins. A bin with zero population must carry zero moments, as any
+/// after an O(H) pass that drops the empty bins. Populated bins that fit in
+/// opts.k are returned as their own clusters; otherwise density-quantile
+/// seeding from the bin masses, then up to opts.max_iterations Lloyd steps
+/// over the populated bins. A bin with zero population must carry zero moments, as any
 /// fold produces. Deterministic — depends only on the histogram contents,
 /// never on thread count, so every rank of a distributed run computes the
 /// identical result from the allreduced histogram. opts.engine/init/pool are

@@ -344,11 +344,32 @@ std::pair<double, double> farthest_center(const PopulatedBins& p,
   return {far_d, far_v};
 }
 
-/// Weighted Lloyd over the populated bins. Prefix sums over the m listed
-/// bins make a cluster's statistics O(1) differences; each round places k
-/// cuts in grid space (boundary_bin) and maps them to list positions by
-/// binary search, O(k log m), plus O(m + k) for the reseed walk in rounds
-/// where a cluster is empty.
+/// One cluster per populated bin, centered on the bin's mean: with zero
+/// error between bins, the best partition at bin granularity. False (and r
+/// untouched) when FP rounding leaves a bin mean at or below its left
+/// neighbour's, since the table must ascend strictly; the caller then runs
+/// Lloyd, whose rounds sort.
+bool bins_as_clusters(const PopulatedBins& p, KMeansResult& r) {
+  for (std::size_t j = 1; j < p.size(); ++j) {
+    if (p.sum[j] / p.count[j] <= p.sum[j - 1] / p.count[j - 1]) return false;
+  }
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    const double cent = p.sum[j] / p.count[j];
+    r.inertia += p.sumsq[j] - 2.0 * cent * p.sum[j] + cent * cent * p.count[j];
+    r.centroids.push_back(cent);
+    r.counts.push_back(static_cast<std::uint64_t>(p.count[j] + 0.5));
+  }
+  r.inertia = std::max(r.inertia, 0.0);
+  r.converged = true;
+  return true;
+}
+
+/// Weighted Lloyd over the populated bins. When the m populated bins fit in
+/// k clusters, each is its own cluster (bins_as_clusters) and no round runs.
+/// Otherwise prefix sums over the m listed bins make a cluster's statistics
+/// O(1) differences; each round places k cuts in grid space (boundary_bin)
+/// and maps them to list positions in one walk, O(m + k), plus O(m + k) for
+/// the reseed walk in rounds where a cluster is empty.
 KMeansResult populated_lloyd(const PopulatedBins& p,
                              const KMeansOptions& opts) {
   KMeansResult r;
@@ -356,6 +377,7 @@ KMeansResult populated_lloyd(const PopulatedBins& p,
   double total = 0.0;
   for (double c : p.count) total += c;
   if (total <= 0.0) return r;
+  if (m <= opts.k && bins_as_clusters(p, r)) return r;
 
   std::vector<double> pc(m + 1, 0.0), ps(m + 1, 0.0), pq(m + 1, 0.0);
   for (std::size_t j = 0; j < m; ++j) {
@@ -373,21 +395,21 @@ KMeansResult populated_lloyd(const PopulatedBins& p,
     cuts[0] = 0;
     cuts[k] = m;
     std::size_t grid_cut = 0;
+    std::size_t j = 0;  // first listed bin at or above grid_cut
     for (std::size_t c = 1; c < k; ++c) {
       const double mid = 0.5 * (cents[c - 1] + cents[c]);
       grid_cut = std::max(boundary_bin(p, mid), grid_cut);
-      const auto from =
-          p.bin.begin() + static_cast<std::ptrdiff_t>(cuts[c - 1]);
-      cuts[c] = static_cast<std::size_t>(
-          std::lower_bound(from, p.bin.end(), grid_cut) - p.bin.begin());
+      while (j < m && p.bin[j] < grid_cut) ++j;
+      cuts[c] = j;
     }
   };
 
+  std::vector<double> next(centroids.size());
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
     ++r.iterations;
     place_cuts(centroids);
     const std::size_t k = centroids.size();
-    std::vector<double> next = centroids;
+    std::copy(centroids.begin(), centroids.end(), next.begin());
     bool reseeded = false;
     bool far_known = false;
     std::pair<double, double> far{0.0, 0.0};
@@ -411,7 +433,15 @@ KMeansResult populated_lloyd(const PopulatedBins& p,
       }
       max_shift = std::max(max_shift, std::abs(next[c] - centroids[c]));
     }
-    std::sort(next.begin(), next.end());
+    // Cluster means ascend with their bin ranges; only a reseed or an empty
+    // cluster's kept centroid can land out of order, so an insertion pass
+    // sorts in about O(k).
+    for (std::size_t c = 1; c < k; ++c) {
+      const double v = next[c];
+      std::size_t i = c;
+      for (; i > 0 && next[i - 1] > v; --i) next[i] = next[i - 1];
+      next[i] = v;
+    }
     centroids.swap(next);
     if (!reseeded && max_shift <= opts.tolerance) {
       r.converged = true;

@@ -112,11 +112,11 @@ struct Options {
   Predictor predictor = Predictor::kPrevious;
 
   /// K-means controls (only used by Strategy::kClustering). kHistogramLloyd
-  /// folds the learn set in O(n + H) and runs each Lloyd round in
-  /// O(k log m) over the m populated bins, plus O(m + k) when a cluster is
-  /// empty (see kmeans1d.hpp); pick kSortedBoundary to recover the exact
-  /// 1-D fixpoint for serial reference runs. The distributed encoder always
-  /// learns through kHistogramLloyd.
+  /// folds the learn set in O(n + H) onto m populated bins. When m <= k each
+  /// bin becomes its own cluster and no Lloyd round runs; otherwise each
+  /// round costs O(m + k) (see kmeans1d.hpp). Pick kSortedBoundary to
+  /// recover the exact 1-D fixpoint for serial reference runs. The
+  /// distributed encoder always learns through kHistogramLloyd.
   cluster::KMeansEngine kmeans_engine = cluster::KMeansEngine::kHistogramLloyd;
   std::size_t kmeans_max_iterations = 30;
 

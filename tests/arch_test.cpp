@@ -465,18 +465,18 @@ void expect_records_pinned(std::span<const Pin> pins,
 }
 
 constexpr Pin kFlashPins[] = {
-    {"flash/dens/clustering/decode", 262144, 0x7ee40b85u},
-    {"flash/dens/clustering/postpass", 1210, 0x7471d20bu},
-    {"flash/dens/clustering/record", 37262, 0x45b2f8d1u},
+    {"flash/dens/clustering/decode", 262144, 0x45327e9au},
+    {"flash/dens/clustering/postpass", 1210, 0x07d716fau},
+    {"flash/dens/clustering/record", 37262, 0x2018d7ebu},
     {"flash/dens/equal-width/decode", 262144, 0xb0750ee2u},
     {"flash/dens/equal-width/postpass", 3035, 0x18f0a464u},
     {"flash/dens/equal-width/record", 39184, 0x8b963256u},
     {"flash/dens/log-scale/decode", 262144, 0x311a99adu},
     {"flash/dens/log-scale/postpass", 3478, 0x41112d51u},
     {"flash/dens/log-scale/record", 39688, 0x79703163u},
-    {"flash/pres/clustering/decode", 262144, 0xd21d2e14u},
-    {"flash/pres/clustering/postpass", 1417, 0x9375b633u},
-    {"flash/pres/clustering/record", 37503, 0xdcb222bfu},
+    {"flash/pres/clustering/decode", 262144, 0x91079680u},
+    {"flash/pres/clustering/postpass", 1401, 0x6073ff7fu},
+    {"flash/pres/clustering/record", 37447, 0xb5da31d2u},
     {"flash/pres/equal-width/decode", 262144, 0x5d56afa6u},
     {"flash/pres/equal-width/postpass", 4525, 0x33d12876u},
     {"flash/pres/equal-width/record", 41481, 0x81263e7bu},

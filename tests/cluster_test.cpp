@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <string>
@@ -601,6 +602,26 @@ nc::KMeansResult oracle_dense_lloyd(const nc::WeightedHistogram& h,
     ps[b + 1] = ps[b] + h.sum[b];
     pq[b + 1] = pq[b] + h.sumsq[b];
   }
+  // Populated bins that fit in k are their own clusters, while their means
+  // ascend strictly; Lloyd runs otherwise.
+  std::vector<double> means;
+  for (std::size_t b = 0; b < bins; ++b) {
+    if (h.count[b] > 0.0) means.push_back(h.sum[b] / h.count[b]);
+  }
+  if (means.size() <= opts.k &&
+      std::adjacent_find(means.begin(), means.end(),
+                         std::greater_equal<>()) == means.end()) {
+    for (std::size_t b = 0; b < bins; ++b) {
+      if (h.count[b] <= 0.0) continue;
+      const double cent = h.sum[b] / h.count[b];
+      r.inertia += h.sumsq[b] - 2.0 * cent * h.sum[b] + cent * cent * h.count[b];
+      r.centroids.push_back(cent);
+      r.counts.push_back(static_cast<std::uint64_t>(h.count[b] + 0.5));
+    }
+    r.inertia = std::max(r.inertia, 0.0);
+    r.converged = true;
+    return r;
+  }
   std::vector<double> centroids = oracle_seeds(h, opts.k, total);
   if (centroids.empty()) return r;
   std::vector<std::size_t> cuts(centroids.size() + 1);
@@ -732,6 +753,77 @@ std::vector<double> heavy_tailed_ratios(std::size_t n, std::uint64_t seed) {
 }
 
 }  // namespace
+
+TEST(HistogramLloyd, PopulatedBinsThatFitAreTheirOwnClusters) {
+  // A Sedov-shaped learn set fills fewer fine bins than k: each populated
+  // bin is then its own cluster, at its exact mean, and no round runs.
+  const auto xs = heavy_tailed_ratios(1000, 3);
+  const auto [lo_it, hi_it] = std::minmax_element(xs.begin(), xs.end());
+  constexpr std::size_t kBins = 64 * 255;
+  const auto h = nc::weighted_histogram(xs, kBins, *lo_it, *hi_it);
+  std::vector<std::size_t> populated;
+  double within = 0.0;  // summed within-bin squared error
+  for (std::size_t b = 0; b < h.bins(); ++b) {
+    if (h.count[b] <= 0.0) continue;
+    populated.push_back(b);
+    const double mean = h.sum[b] / h.count[b];
+    within += h.sumsq[b] - 2.0 * mean * h.sum[b] + mean * mean * h.count[b];
+  }
+  const std::size_t m = populated.size();
+  ASSERT_LT(m, 255u);
+  ASSERT_GT(m, 2u);
+
+  nc::KMeansOptions o;
+  o.max_iterations = 30;
+  o.engine = nc::KMeansEngine::kHistogramLloyd;
+  o.histogram_bins = kBins;  // the same grid for every k below
+  for (const std::size_t k : {std::size_t{255}, m}) {
+    o.k = k;
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const nc::KMeansResult r = nc::kmeans1d(xs, o);
+    ASSERT_EQ(r.centroids.size(), m);
+    ASSERT_EQ(r.counts.size(), m);
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t b = populated[j];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.centroids[j]),
+                std::bit_cast<std::uint64_t>(h.sum[b] / h.count[b]))
+          << "bin " << b;
+      EXPECT_EQ(r.counts[j], static_cast<std::uint64_t>(h.count[b]));
+    }
+    EXPECT_EQ(r.iterations, 0u);
+    EXPECT_TRUE(r.converged);
+    EXPECT_DOUBLE_EQ(r.inertia, std::max(within, 0.0));
+  }
+
+  // One cluster short: two bins must share, so Lloyd runs.
+  o.k = m - 1;
+  const nc::KMeansResult lloyd = nc::kmeans1d(xs, o);
+  EXPECT_GT(lloyd.iterations, 0u);
+  EXPECT_LE(lloyd.centroids.size(), m - 1);
+  EXPECT_GT(lloyd.inertia, within);
+}
+
+TEST(HistogramLloyd, BinMeansOutOfOrderRunLloyd) {
+  // Eighteen copies of 0.1 sum to a mean above nextafter(0.1), the one
+  // value of the other populated bin. Per-bin clusters would break the
+  // ascending table, so Lloyd runs although the two bins fit in k.
+  std::vector<double> xs(18, 0.1);
+  xs.push_back(std::nextafter(0.1, 1.0));
+  nc::KMeansOptions o;
+  o.max_iterations = 30;
+  o.engine = nc::KMeansEngine::kHistogramLloyd;
+  const auto [lo_it, hi_it] = std::minmax_element(xs.begin(), xs.end());
+  const auto h = nc::weighted_histogram(xs, nc::resolve_histogram_bins(o),
+                                        *lo_it, *hi_it);
+  ASSERT_GT(h.sum.front() / h.count.front(), h.sum.back() / h.count.back());
+  numarck::util::ThreadPool pool(1);
+  o.pool = &pool;
+  const nc::KMeansResult r = nc::kmeans1d(xs, o);
+  EXPECT_GT(r.iterations, 0u);
+  EXPECT_TRUE(std::is_sorted(r.centroids.begin(), r.centroids.end()));
+  expect_bit_identical(r, oracle_histogram_kmeans(xs, o, pool),
+                       "means out of order");
+}
 
 TEST(HistogramLloydOracle, HeavyTailedSetWithFewerPopulatedBinsThanK) {
   const auto xs = heavy_tailed_ratios(1000, 3);

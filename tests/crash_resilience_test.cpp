@@ -239,6 +239,7 @@ TEST(CrashResilience, MissingRankFileRefusesButReportsDamage) {
 
 TEST(CrashResilience, StaleManifestIgnoresExtraRankFiles) {
   TrialBase t("stale");
+  t.cfg.ranks = 4;  // so that cleanup removes the orphan file too
   // Four rank files on disk, but the manifest — stale, from before a
   // shrink — names only three. The engine trusts the manifest: the orphan
   // file is ignored and the restart covers exactly the manifest's ranks.

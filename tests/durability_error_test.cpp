@@ -103,14 +103,17 @@ bool run_unprivileged(const std::string& dir,
   int code = -1;
   EXPECT_EXIT(
       {
-        if (::geteuid() == 0 &&
-            (::setgid(kNobody) != 0 || ::setuid(kNobody) != 0)) {
-          std::_Exit(kCannotDrop);
+        int status = kCannotDrop;
+        if (::geteuid() != 0 ||
+            (::setgid(kNobody) == 0 && ::setuid(kNobody) == 0)) {
+          status = checks() ? 0 : 1;
         }
-        const bool ok = checks();
-        // Readable again, so that an unprivileged parent can remove it.
+        // _Exit skips destructors: the re-executed child removes its own
+        // directory, readable again first so that an unprivileged owner can.
         (void)::chmod(dir.c_str(), 0700);
-        std::_Exit(ok ? 0 : 1);
+        std::error_code ec;
+        fs::remove_all(dir, ec);
+        std::_Exit(status);
       },
       [&code](int status) {
         code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
